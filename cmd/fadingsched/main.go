@@ -170,9 +170,10 @@ func run(args []string, out io.Writer) error {
 		}
 		logger.Info("solve done", slog.String("algorithm", name),
 			slog.Int("scheduled", s.Len()), obs.DurationSeconds("duration", time.Since(solveStart)))
-		viol := fadingrls.Verify(pr, s)
+		assessed := fadingrls.Assess(pr, s)
+		viol := assessed.Violations
 		fmt.Fprintf(out, "%-16s links=%-4d throughput=%-8.4g feasible=%-5v expected-failures/slot=%.4g\n",
-			name, s.Len(), s.Throughput(pr), len(viol) == 0, fadingrls.ExpectedFailures(pr, s))
+			name, s.Len(), s.Throughput(pr), assessed.Feasible(), assessed.ExpectedFailures)
 		for k, v := range viol {
 			if k == 5 {
 				fmt.Fprintf(out, "%-16s   … %d more violations\n", "", len(viol)-k)

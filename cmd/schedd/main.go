@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		addr      = fs.String("addr", ":8080", "API listen address")
 		debugAddr = fs.String("debug-addr", "127.0.0.1:6060", "private pprof/metrics listen address ('' disables)")
 		workers   = fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
-		cacheSize = fs.Int("cache", 256, "result cache capacity in responses (negative disables)")
+		cacheMB   = fs.Int("cache-mb", 4, "result cache budget in MiB of response bodies (negative disables)")
 		prepCache = fs.Int("prep-cache", 16, "prepared interference-field cache capacity in link sets (negative disables)")
 		maxBody   = fs.Int64("max-body", 8<<20, "request body size limit in bytes")
 		maxLinks  = fs.Int("max-links", 20000, "per-request instance size limit")
@@ -100,7 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	srv := server.New(server.Config{
 		Workers:           *workers,
-		CacheSize:         *cacheSize,
+		CacheBytes:        int64(*cacheMB) << 20,
 		PreparedCacheSize: *prepCache,
 		MaxBodyBytes:      *maxBody,
 		MaxLinks:          *maxLinks,

@@ -336,6 +336,10 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatalf("no delta frame: %v", sc.Err())
 	}
 	pw.Close()
+	// The stream's trace reaches the recorder when its handler returns,
+	// which is before the response ends: read to EOF so the recorder
+	// query below cannot race it.
+	io.Copy(io.Discard, evResp.Body)
 
 	// The recorder must have kept both traces with their span trees.
 	resp, err = http.Get(fmt.Sprintf("http://%s/debug/requests?n=50", apiAddr))

@@ -72,6 +72,9 @@ type (
 	ContextAlgorithm = sched.ContextAlgorithm
 	// Violation reports one receiver over its feasibility budget.
 	Violation = sched.Violation
+	// Assessment is a schedule's violations, per-link success
+	// probabilities and expected failures from one load pass.
+	Assessment = sched.Assessment
 
 	// LDP is the paper's O(g(L)) link-diversity-partition algorithm.
 	LDP = sched.LDP
@@ -231,6 +234,12 @@ func FieldOption(name string, cutoff float64) (ProblemOption, error) {
 // term: AddLink/RemoveLink maintain every receiver's conservative
 // load, Headroom(j) is the remaining γ_ε budget.
 func NewAccum(pr *Problem) *Accum { return sched.NewAccum(pr) }
+
+// Assess computes each scheduled receiver's load once and reads off
+// both Corollary 3.1 violations and Theorem 3.1 success probabilities;
+// Verify, Feasible, SuccessProbabilities and ExpectedFailures are views
+// of it.
+func Assess(pr *Problem, s Schedule) Assessment { return sched.Assess(pr, s) }
 
 // Verify independently re-checks a schedule against Corollary 3.1,
 // returning all violated receivers (empty ⇒ feasible).

@@ -269,7 +269,10 @@ func labelKey(labels []Label) string {
 	return sb.String()
 }
 
-func (r *Registry) register(name, help string, kind metricKind, labels []Label) *entry {
+// register finds or creates the entry for (name, labels) and runs init
+// on it under the registry lock, so two goroutines registering the same
+// new series concurrently share one metric value.
+func (r *Registry) register(name, help string, kind metricKind, labels []Label, init func(*entry)) *entry {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
@@ -285,50 +288,50 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 	}
 	labels = f.clampLabels(labels, r.labelLimit)
 	key := labelKey(labels)
-	if e, ok := f.byKey[key]; ok {
-		return e
+	e, ok := f.byKey[key]
+	if !ok {
+		e = &entry{labels: append([]Label(nil), labels...)}
+		f.byKey[key] = e
+		f.entries = append(f.entries, e)
 	}
-	e := &entry{labels: append([]Label(nil), labels...)}
-	f.byKey[key] = e
-	f.entries = append(f.entries, e)
+	init(e)
 	return e
 }
 
 // Counter registers (or returns the existing) counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	e := r.register(name, help, counterKind, labels)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.register(name, help, counterKind, labels, func(e *entry) {
+		if e.c == nil {
+			e.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	e := r.register(name, help, gaugeKind, labels)
-	if e.g == nil && e.gf == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.register(name, help, gaugeKind, labels, func(e *entry) {
+		if e.g == nil && e.gf == nil {
+			e.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a computed gauge: fn is called at scrape time.
 // fn must be safe for concurrent use and must not call back into the
 // registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	e := r.register(name, help, gaugeKind, labels)
-	e.gf = fn
+	r.register(name, help, gaugeKind, labels, func(e *entry) { e.gf = fn })
 }
 
 // Histogram registers (or returns the existing) histogram with the
 // given ascending bucket upper bounds (nil = DefBuckets). A +Inf
 // bucket is implicit.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	e := r.register(name, help, histogramKind, labels)
-	if e.h == nil {
-		e.h = newHistogram(buckets)
-	}
-	return e.h
+	return r.register(name, help, histogramKind, labels, func(e *entry) {
+		if e.h == nil {
+			e.h = newHistogram(buckets)
+		}
+	}).h
 }
 
 // snapshot copies the family/entry structure under the lock so

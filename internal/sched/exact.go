@@ -90,6 +90,11 @@ type exactState struct {
 	mu       sync.Mutex
 	bestRate float64
 	bestSet  []int
+	// bestTask is the subtree task that offered the incumbent (-1 for
+	// the greedy seed). Equal-rate optima are common (unit rates), and
+	// the tasks race, so ties go to the seed, then to the lowest task
+	// index: the answer must not depend on goroutine scheduling.
+	bestTask int
 	// Search counters for the tracer, aggregated under mu from each
 	// subtree task's local dfsCounters when the task finishes — the
 	// per-node hot path touches only task-local ints.
@@ -117,20 +122,34 @@ func (st *exactState) addCounters(c dfsCounters) {
 	st.mu.Unlock()
 }
 
-func (st *exactState) offer(rate float64, set []int) {
+// exactTieTol is the rate slack within which two sets tie.
+const exactTieTol = 1e-12
+
+// improves reports whether a set of the given rate from task would
+// replace the incumbent: a strictly higher rate, or a tie from a task
+// that precedes the incumbent's. Called with st.mu held.
+func (st *exactState) improves(rate float64, task int) bool {
+	return rate > st.bestRate+exactTieTol ||
+		(rate >= st.bestRate-exactTieTol && task < st.bestTask)
+}
+
+func (st *exactState) offer(rate float64, set []int, task int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if rate > st.bestRate {
+	if st.improves(rate, task) {
 		st.bestRate = rate
 		st.bestSet = append(st.bestSet[:0], set...)
+		st.bestTask = task
 		st.offers++
 	}
 }
 
-func (st *exactState) bound() float64 {
+// prunable reports whether no set under a subtree with rate bound
+// bound in task can replace the incumbent.
+func (st *exactState) prunable(bound float64, task int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.bestRate
+	return !st.improves(bound, task)
 }
 
 func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer) ([]int, error) {
@@ -164,7 +183,7 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer
 	defer unregister()
 	// Seed the incumbent with Greedy so pruning bites immediately.
 	seed := (Greedy{}).Schedule(pr)
-	st.offer(seed.Throughput(pr), seed.Active)
+	st.offer(seed.Throughput(pr), seed.Active, -1)
 
 	// Enumerate the 2^splitDepth assignments of the first splitDepth
 	// decisions; each feasible prefix becomes one parallel task.
@@ -202,16 +221,16 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer
 	search := tr.StartPhase("search")
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, tk := range tasks {
+	for k, tk := range tasks {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(tk task) {
+		go func(k int, tk task) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			var cnt dfsCounters
-			dfs(pr, st, order, suffixRate, splitDepth, tk.set, tk.acc, tk.rate, &cnt)
+			dfs(pr, st, order, suffixRate, splitDepth, tk.set, tk.acc, tk.rate, k, &cnt)
 			st.addCounters(cnt)
-		}(tk)
+		}(k, tk)
 	}
 	wg.Wait()
 	search.End()
@@ -248,28 +267,28 @@ func tryInclude(pr *Problem, set []int, acc *Accum, i int) (*Accum, bool) {
 	return ni, true
 }
 
-func dfs(pr *Problem, st *exactState, order []int, suffixRate []float64, d int, set []int, acc *Accum, rate float64, cnt *dfsCounters) {
+func dfs(pr *Problem, st *exactState, order []int, suffixRate []float64, d int, set []int, acc *Accum, rate float64, task int, cnt *dfsCounters) {
 	if st.stop.Load() {
 		return // caller's context canceled; unwind the whole subtree
 	}
 	cnt.nodes++
-	if rate+suffixRate[d] <= st.bound()+1e-12 {
+	if st.prunable(rate+suffixRate[d], task) {
 		cnt.cutoffs++
 		return // even taking everything left cannot beat the incumbent
 	}
 	if d == len(order) {
-		st.offer(rate, set)
+		st.offer(rate, set, task)
 		return
 	}
 	i := order[d]
 	// Include first: descending-rate order means the include branch is
 	// the one that can raise the incumbent fastest.
 	if ni, ok := tryInclude(pr, set, acc, i); ok {
-		dfs(pr, st, order, suffixRate, d+1, append(set, i), ni, rate+pr.Links.Rate(i), cnt)
+		dfs(pr, st, order, suffixRate, d+1, append(set, i), ni, rate+pr.Links.Rate(i), task, cnt)
 	} else {
 		cnt.infeasible++
 	}
-	dfs(pr, st, order, suffixRate, d+1, set, acc, rate, cnt)
+	dfs(pr, st, order, suffixRate, d+1, set, acc, rate, task, cnt)
 }
 
 func init() {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/network"
@@ -97,6 +98,21 @@ func TestExactSplitDepthInvariance(t *testing.T) {
 	for _, d := range []int{2, 4, 6, 13} {
 		if got := (Exact{SplitDepth: d}.Schedule(pr)).Throughput(pr); math.Abs(got-base) > 1e-9 {
 			t.Errorf("split depth %d changes the optimum: %v vs %v", d, got, base)
+		}
+	}
+}
+
+// TestExactDeterministicUnderTies: unit rates make equal-throughput
+// optima common, and the parallel subtree tasks race to find them; the
+// returned set must still be the same on every run.
+func TestExactDeterministicUnderTies(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		pr := smallProblem(t, 12, seed, 120)
+		want := (Exact{}).Schedule(pr).Active
+		for run := 0; run < 30; run++ {
+			if got := (Exact{}).Schedule(pr).Active; !slices.Equal(got, want) {
+				t.Fatalf("seed %d run %d: exact returned %v, first run %v", seed, run, got, want)
+			}
 		}
 	}
 }

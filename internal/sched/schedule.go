@@ -89,27 +89,57 @@ func (v Violation) String() string {
 	return fmt.Sprintf("link %d: interference factor %.6g exceeds γ_ε %.6g", v.Link, v.Factor, v.Budget)
 }
 
-// Verify checks every scheduled link against the (noise-aware) fading
+// Assessment is everything the per-receiver loads of a schedule say
+// about it. Corollary 3.1 feasibility and the Theorem 3.1 success
+// probability exp(−load_j) are two readings of the same load, so Assess
+// computes each active receiver's load once and derives both.
+type Assessment struct {
+	// Violations lists every receiver over its γ_ε budget, in
+	// s.Active order (nil ⇒ the schedule is feasible).
+	Violations []Violation
+	// SuccessProb is each scheduled link's Theorem 3.1 success
+	// probability, indexed like s.Active.
+	SuccessProb []float64
+	// ExpectedFailures is Σ_j (1 − SuccessProb_j), compensated.
+	ExpectedFailures float64
+}
+
+// Feasible reports whether no receiver exceeds its budget.
+func (a Assessment) Feasible() bool { return len(a.Violations) == 0 }
+
+// Assess checks every scheduled link against the (noise-aware) fading
 // feasibility condition NoiseTerm_j + Σ f_{i,j} ≤ γ_ε using compensated
 // summation, independent of any bookkeeping the producing algorithm
-// kept. It returns all violations (empty ⇒ the schedule is feasible).
-// With the paper's N0 = 0 the noise term vanishes and this is exactly
+// kept, and converts the same loads into success probabilities. With
+// the paper's N0 = 0 the noise term vanishes and the check is exactly
 // Corollary 3.1.
 //
-// Verification reads through the instance's interference field: on the
+// Assessment reads through the instance's interference field: on the
 // dense backend the factors are exact; on a truncated backend each
 // unstored active sender is charged the conservative TailBound, so a
-// clean Verify still certifies the schedule against the true factors.
-func Verify(pr *Problem, s Schedule) []Violation {
-	var out []Violation
+// clean assessment still certifies the schedule against the true
+// factors, and each success probability is a lower bound on the true
+// one.
+func Assess(pr *Problem, s Schedule) Assessment {
+	a := Assessment{SuccessProb: make([]float64, len(s.Active))}
 	budget := pr.GammaEps()
-	for _, j := range s.Active {
-		if f := scheduleLoad(pr, s, j); !pr.Params.Informed(f) {
-			out = append(out, Violation{Link: j, Factor: f, Budget: budget})
+	var failures mathx.Accumulator
+	for k, j := range s.Active {
+		load := scheduleLoad(pr, s, j)
+		if !pr.Params.Informed(load) {
+			a.Violations = append(a.Violations, Violation{Link: j, Factor: load, Budget: budget})
 		}
+		p := prExp(load)
+		a.SuccessProb[k] = p
+		failures.Add(1 - p)
 	}
-	return out
+	a.ExpectedFailures = failures.Sum()
+	return a
 }
+
+// Verify returns Assess's violations: every receiver whose budget the
+// schedule exceeds (empty ⇒ the schedule is feasible).
+func Verify(pr *Problem, s Schedule) []Violation { return Assess(pr, s).Violations }
 
 // scheduleLoad computes receiver j's conservative noise-plus-
 // interference load under s with compensated summation: stored factors
@@ -138,29 +168,13 @@ func scheduleLoad(pr *Problem, s Schedule, j int) float64 {
 
 // Feasible reports whether the schedule satisfies every receiver's
 // fading budget.
-func Feasible(pr *Problem, s Schedule) bool {
-	return len(Verify(pr, s)) == 0
-}
+func Feasible(pr *Problem, s Schedule) bool { return Assess(pr, s).Feasible() }
 
-// SuccessProbabilities returns each scheduled link's Theorem 3.1
-// success probability under the schedule, indexed like s.Active. Exact
-// on the dense backend; on a truncated backend the tail-bound charge
-// makes each value a lower bound on the true success probability.
-func SuccessProbabilities(pr *Problem, s Schedule) []float64 {
-	out := make([]float64, len(s.Active))
-	for k, j := range s.Active {
-		out[k] = prExp(scheduleLoad(pr, s, j))
-	}
-	return out
-}
+// SuccessProbabilities returns Assess's per-link Theorem 3.1 success
+// probabilities, indexed like s.Active.
+func SuccessProbabilities(pr *Problem, s Schedule) []float64 { return Assess(pr, s).SuccessProb }
 
-// ExpectedFailures returns Σ_j (1 − Pr(success_j)): the analytic
-// expectation of the number of failed transmissions per slot, the
-// cross-check metric for the Fig. 5 Monte-Carlo measurement.
-func ExpectedFailures(pr *Problem, s Schedule) float64 {
-	var sum mathx.Accumulator
-	for _, p := range SuccessProbabilities(pr, s) {
-		sum.Add(1 - p)
-	}
-	return sum.Sum()
-}
+// ExpectedFailures returns Assess's Σ_j (1 − Pr(success_j)): the
+// analytic expectation of the number of failed transmissions per slot,
+// the cross-check metric for the Fig. 5 Monte-Carlo measurement.
+func ExpectedFailures(pr *Problem, s Schedule) float64 { return Assess(pr, s).ExpectedFailures }

@@ -8,16 +8,22 @@ import (
 // cacheKey is the canonical problem hash (see solveRequest.hash).
 type cacheKey [32]byte
 
-// resultCache is a fixed-capacity LRU from canonical problem hashes to
-// encoded response bodies. Storing the serialized bytes — not the
-// decoded result — is what makes a hit byte-identical to the miss that
-// populated it and keeps the hit path allocation-free apart from the
-// response write.
+// resultCache is an LRU from canonical problem hashes to encoded
+// response bodies, bounded by the bytes of the bodies it holds rather
+// than by their count: one dense n=2000 answer is a few KB, one sparse
+// n=2500 answer with thousands of active links is tens of KB, and a
+// count bound would let the second kind hold an order of magnitude
+// more memory. Storing the serialized bytes — not the decoded result —
+// is what makes a hit byte-identical to the miss that populated it and
+// keeps the hit path allocation-free apart from the response write.
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[cacheKey]*list.Element
+	mu     sync.Mutex
+	budget int64      // byte bound on Σ len(body); ≤ 0 disables caching
+	bytes  int64      // Σ len(body) over resident entries
+	ll     *list.List // front = most recently used
+	items  map[cacheKey]*list.Element
+
+	m *Metrics
 }
 
 type cacheEntry struct {
@@ -25,13 +31,14 @@ type cacheEntry struct {
 	body []byte
 }
 
-// newResultCache returns an LRU holding up to capacity entries; a
-// non-positive capacity disables caching (every get misses).
-func newResultCache(capacity int) *resultCache {
+// newResultCache returns an LRU holding at most budget bytes of
+// bodies; a non-positive budget disables caching (every get misses).
+func newResultCache(budget int64, m *Metrics) *resultCache {
 	return &resultCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[cacheKey]*list.Element),
+		budget: budget,
+		ll:     list.New(),
+		items:  make(map[cacheKey]*list.Element),
+		m:      m,
 	}
 }
 
@@ -48,32 +55,46 @@ func (c *resultCache) get(k cacheKey) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// put inserts (or refreshes) k → body, evicting the least recently
-// used entry when over capacity.
+// put inserts (or refreshes) k → body, evicting least recently used
+// entries until the resident bytes fit the budget. A body larger than
+// the whole budget is not cached. The cache stores an exact-size copy:
+// encoders hand over slices with append slack, and the byte accounting
+// must match the memory the cache actually keeps alive.
 func (c *resultCache) put(k cacheKey, body []byte) {
-	if c.cap <= 0 {
+	size := int64(len(body))
+	if c.budget <= 0 || size > c.budget {
 		return
 	}
+	stored := make([]byte, len(body))
+	copy(stored, body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
-		return
+		e := el.Value.(*cacheEntry)
+		c.bytes += size - int64(len(e.body))
+		e.body = stored
+	} else {
+		c.items[k] = c.ll.PushFront(&cacheEntry{key: k, body: stored})
+		c.bytes += size
 	}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, body: body})
-	for c.ll.Len() > c.cap {
+	// The front entry fits the budget on its own, so this loop never
+	// evicts the body just stored.
+	for c.bytes > c.budget {
 		back := c.ll.Back()
+		e := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
+		delete(c.items, e.key)
+		c.bytes -= int64(len(e.body))
+		c.m.CacheEviction()
 	}
 }
 
-// len reports the number of cached entries.
-func (c *resultCache) len() int {
+// residency reports the resident entry count and body bytes.
+func (c *resultCache) residency() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.ll.Len(), c.bytes
 }
 
 // reset empties the cache (benchmarks use this to measure the cold path).
@@ -82,4 +103,5 @@ func (c *resultCache) reset() {
 	defer c.mu.Unlock()
 	c.ll.Init()
 	clear(c.items)
+	c.bytes = 0
 }

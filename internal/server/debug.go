@@ -22,7 +22,7 @@ import (
 //	GET /debug/state               session table, live sharded-solve
 //	                               fan-out, prepared-cache residency
 //	                               with pin counts, pool occupancy,
-//	                               cache sizes
+//	                               result-cache bytes against budget
 //
 // They are routed on the public mux (they are cheap, bounded reads;
 // traces never contain request bodies) and skipped by the tracing
@@ -117,9 +117,17 @@ type debugStateResponse struct {
 	MaxSessions      int                   `json:"max_sessions"`
 	ShardSolves      []debugShardSolveInfo `json:"sharded_solves,omitempty"`
 	Prepared         []prepEntryInfo       `json:"prepared_cache"`
-	ResponseCacheLen int                   `json:"response_cache_len"`
+	ResultCache      debugResultCacheInfo  `json:"result_cache"`
 	Pool             debugPoolInfo         `json:"pool"`
 	Recorder         obs.RecorderStats     `json:"recorder"`
+}
+
+// debugResultCacheInfo is the response cache's residency against its
+// byte budget (budget ≤ 0: caching disabled).
+type debugResultCacheInfo struct {
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+	Budget  int64 `json:"budget"`
 }
 
 type debugPoolInfo struct {
@@ -176,13 +184,14 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 		return shardSolves[i].ElapsedMS > shardSolves[j].ElapsedMS
 	})
 
+	entries, bytes := s.cache.residency()
 	writeJSON(w, http.StatusOK, debugStateResponse{
 		Sessions:         sessions,
 		SessionsReserved: reserved,
 		MaxSessions:      s.cfg.MaxSessions,
 		ShardSolves:      shardSolves,
 		Prepared:         s.preps.snapshot(),
-		ResponseCacheLen: s.cache.len(),
+		ResultCache:      debugResultCacheInfo{Entries: entries, Bytes: bytes, Budget: s.cfg.CacheBytes},
 		Pool: debugPoolInfo{
 			Capacity: s.pool.capacity(),
 			InUse:    s.pool.inUse(),

@@ -230,8 +230,11 @@ func TestDebugStateReportsSessionsAndCaches(t *testing.T) {
 	if st.Pool.Capacity < 1 || st.Pool.InUse != 0 {
 		t.Fatalf("pool %+v wrong", st.Pool)
 	}
-	if st.MaxSessions != 256 || st.ResponseCacheLen != 1 {
+	if st.MaxSessions != 256 {
 		t.Fatalf("state %+v wrong", st)
+	}
+	if rc := st.ResultCache; rc.Entries != 1 || rc.Bytes <= 0 || rc.Budget != 4<<20 {
+		t.Fatalf("result cache %+v: want 1 resident body under the 4 MiB default", rc)
 	}
 }
 

@@ -104,7 +104,7 @@ func FuzzSessionEvents(f *testing.F) {
 
 		st := openStream(t, ts, created.SessionID)
 		run(st, data[:int(cut)%(len(data)+1)])
-		st.abort() // the mid-session disconnect resume exists for
+		st.disconnect() // the mid-session disconnect resume exists for
 
 		// Replay from seq 0 must reproduce every confirmed delta
 		// byte-for-byte — no gaps, no error frames, no reordering.

@@ -29,6 +29,8 @@ import (
 //	schedd_solves_total{algorithm}    counter
 //	schedd_cache_hits_total           counter
 //	schedd_cache_misses_total         counter
+//	schedd_cache_evictions_total      counter
+//	schedd_cache_bytes/entries        gauges (registered by Server)
 //	schedd_request_duration_seconds   histogram (obs.DefBuckets)
 //	schedd_pool_capacity/in_use/queued gauges (registered by Server)
 //	schedd_goroutines                 gauge
@@ -44,12 +46,13 @@ type Metrics struct {
 	reg  *obs.Registry
 	vars *expvar.Map
 
-	requests  *obs.Counter
-	solveErrs *obs.Counter
-	inFlight  *obs.Gauge
-	cacheHits *obs.Counter
-	cacheMiss *obs.Counter
-	latency   *obs.Histogram
+	requests   *obs.Counter
+	solveErrs  *obs.Counter
+	inFlight   *obs.Gauge
+	cacheHits  *obs.Counter
+	cacheMiss  *obs.Counter
+	cacheEvict *obs.Counter
+	latency    *obs.Histogram
 
 	prepHits   *obs.Counter
 	prepMiss   *obs.Counter
@@ -85,9 +88,11 @@ func NewMetrics() *Metrics {
 		inFlight:  reg.Gauge("schedd_in_flight", "Requests currently being served."),
 		cacheHits: reg.Counter("schedd_cache_hits_total", "Solve responses served from the result cache."),
 		cacheMiss: reg.Counter("schedd_cache_misses_total", "Solve requests that missed the result cache."),
-		latency:   reg.Histogram("schedd_request_duration_seconds", "End-to-end HTTP request latency in seconds.", nil),
-		prepHits:  reg.Counter("schedd_prepared_cache_hits_total", "Solves that reused a cached prepared interference field."),
-		prepMiss:  reg.Counter("schedd_prepared_cache_misses_total", "Solves that found no prepared field for their link set."),
+		cacheEvict: reg.Counter("schedd_cache_evictions_total",
+			"Responses evicted from the result cache by its byte budget."),
+		latency:  reg.Histogram("schedd_request_duration_seconds", "End-to-end HTTP request latency in seconds.", nil),
+		prepHits: reg.Counter("schedd_prepared_cache_hits_total", "Solves that reused a cached prepared interference field."),
+		prepMiss: reg.Counter("schedd_prepared_cache_misses_total", "Solves that found no prepared field for their link set."),
 		prepBuilds: reg.Counter("schedd_prepared_builds_total",
 			"Interference-field constructions performed (single-flight: concurrent misses on one key build once)."),
 		prepEvict: reg.Counter("schedd_prepared_cache_evictions_total", "Prepared fields evicted by LRU capacity pressure."),
@@ -188,9 +193,11 @@ func (m *Metrics) TrafficDone(policy string, truncated bool) {
 	}
 }
 
-// CacheHit / CacheMiss feed the hit-rate gauge.
-func (m *Metrics) CacheHit()  { m.cacheHits.Inc() }
-func (m *Metrics) CacheMiss() { m.cacheMiss.Inc() }
+// CacheHit / CacheMiss feed the hit-rate gauge; CacheEviction counts
+// result-cache byte-budget evictions.
+func (m *Metrics) CacheHit()      { m.cacheHits.Inc() }
+func (m *Metrics) CacheMiss()     { m.cacheMiss.Inc() }
+func (m *Metrics) CacheEviction() { m.cacheEvict.Inc() }
 
 // Prepared-field cache accounting (see prepCache).
 func (m *Metrics) PreparedHit()       { m.prepHits.Inc() }

@@ -48,6 +48,9 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		`schedd_solves_total{algorithm="greedy"} 1`,
 		"schedd_cache_hits_total 1",
 		"schedd_cache_misses_total 1",
+		"schedd_cache_evictions_total 0",
+		"schedd_cache_entries 1",
+		"# TYPE schedd_cache_bytes gauge",
 		"schedd_pool_capacity ",
 		"schedd_pool_in_use ",
 		"schedd_pool_queued ",

@@ -26,9 +26,10 @@ import (
 type Config struct {
 	// Workers bounds concurrently executing solves (0 = GOMAXPROCS).
 	Workers int
-	// CacheSize is the LRU capacity in responses (0 = 256, negative
-	// disables caching).
-	CacheSize int
+	// CacheBytes bounds the response LRU by the total size of the
+	// bodies it holds (0 = 4 MiB, negative disables caching). A body
+	// larger than the whole budget is served but not cached.
+	CacheBytes int64
 	// PreparedCacheSize is the LRU capacity in prepared interference
 	// fields (0 = 16, negative disables). This tier is separate from
 	// the response cache: one resident field serves every algorithm and
@@ -76,8 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
+	if c.CacheBytes == 0 {
+		c.CacheBytes = 4 << 20
 	}
 	if c.PreparedCacheSize == 0 {
 		c.PreparedCacheSize = 16
@@ -148,10 +149,10 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		pool:    newPool(cfg.Workers),
-		cache:   newResultCache(cfg.CacheSize),
 		metrics: NewMetrics(),
 		log:     cfg.Logger,
 	}
+	s.cache = newResultCache(cfg.CacheBytes, s.metrics)
 	s.preps = newPrepCache(cfg.PreparedCacheSize, s.metrics)
 	if cfg.TraceRing >= 0 {
 		s.recorder = obs.NewRecorder(obs.RecorderConfig{
@@ -174,6 +175,10 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.pool.inUse()) })
 	reg.GaugeFunc("schedd_pool_queued", "Requests blocked waiting for a worker-pool slot.",
 		func() float64 { return float64(s.pool.queued()) })
+	reg.GaugeFunc("schedd_cache_bytes", "Response bytes resident in the result cache.",
+		func() float64 { _, b := s.cache.residency(); return float64(b) })
+	reg.GaugeFunc("schedd_cache_entries", "Responses resident in the result cache.",
+		func() float64 { n, _ := s.cache.residency(); return float64(n) })
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/solve/batch", s.handleSolveBatch)
@@ -513,16 +518,19 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 	}
 	s.metrics.SolveDone(q.Algorithm)
 
+	// One load pass answers feasibility, success probabilities and
+	// expected failures; at scale it is the dominant cost of a miss.
 	verifySp := root.Child("verify")
+	assessed := sched.Assess(pr, schedule)
 	resp := &SolveResponse{
 		Algorithm:        q.Algorithm,
 		N:                pr.N(),
 		Field:            pr.FieldName(),
 		Active:           schedule.Active,
 		Throughput:       schedule.Throughput(pr),
-		Feasible:         sched.Feasible(pr, schedule),
-		SuccessProb:      sched.SuccessProbabilities(pr, schedule),
-		ExpectedFailures: sched.ExpectedFailures(pr, schedule),
+		Feasible:         assessed.Feasible(),
+		SuccessProb:      assessed.SuccessProb,
+		ExpectedFailures: assessed.ExpectedFailures,
 		Stats:            tr.Stats(),
 	}
 	verifySp.End()

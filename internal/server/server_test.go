@@ -358,7 +358,10 @@ func TestCacheHitDeterminism(t *testing.T) {
 // goroutines; run under -race (scripts/check.sh does) it doubles as
 // the data-race test for the pool, cache, and metrics.
 func TestConcurrentRequests(t *testing.T) {
-	srv := New(Config{Workers: 4, CacheSize: 8})
+	// A budget of a few bodies: 15 distinct answers churn it, so the
+	// eviction path races the hit path too.
+	const budget = 2 << 10
+	srv := New(Config{Workers: 4, CacheBytes: budget})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	algos := []string{"ldp", "rle", "greedy", "dls", "approxlogn"}
@@ -401,6 +404,12 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 	if got := srv.Metrics().InFlight(); got != 0 {
 		t.Errorf("in-flight gauge = %d after drain, want 0", got)
+	}
+	if _, b := srv.cache.residency(); b > budget {
+		t.Errorf("result cache holds %d bytes, over its %d-byte budget", b, budget)
+	}
+	if srv.Metrics().cacheEvict.Value() == 0 {
+		t.Error("15 distinct answers never overflowed a 2 KiB budget")
 	}
 }
 

@@ -68,6 +68,8 @@ func postSession(t testing.TB, ts *httptest.Server, req SessionRequest) *http.Re
 // recv interleave over the single request.
 type eventStream struct {
 	t    testing.TB
+	ts   *httptest.Server
+	id   string
 	pw   *io.PipeWriter
 	resp *http.Response
 	sc   *bufio.Scanner
@@ -105,7 +107,7 @@ func tryOpenStream(t testing.TB, ts *httptest.Server, id string) (*eventStream, 
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), maxEventLine)
-	st := &eventStream{t: t, pw: pw, resp: resp, sc: sc}
+	st := &eventStream{t: t, ts: ts, id: id, pw: pw, resp: resp, sc: sc}
 	t.Cleanup(st.abort)
 	return st, resp
 }
@@ -141,9 +143,13 @@ func (st *eventStream) recv() (network.SessionDelta, []byte) {
 	return d, raw
 }
 
-// closeWrite ends the event stream cleanly (server sees EOF).
+// closeWrite ends the event stream cleanly (server sees EOF) and reads
+// the response to its end. The server hangs up only after its handler
+// has released the stream, so once this returns the session accepts a
+// new stream instead of answering 409.
 func (st *eventStream) closeWrite() {
 	st.pw.Close()
+	io.Copy(io.Discard, st.resp.Body)
 }
 
 // abort kills the stream abruptly — the mid-flight disconnect the
@@ -151,6 +157,39 @@ func (st *eventStream) closeWrite() {
 func (st *eventStream) abort() {
 	st.pw.CloseWithError(io.ErrClosedPipe)
 	st.resp.Body.Close()
+}
+
+// disconnect aborts the stream and waits until the server's handler
+// has noticed and released it. The client tears its own connection
+// down, so its side of the response ends before the server's does;
+// reopening in between races the handler and gets 409.
+func (st *eventStream) disconnect() {
+	st.t.Helper()
+	st.abort()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := st.ts.Client().Get(st.ts.URL + "/debug/state")
+		if err != nil {
+			st.t.Fatal(err)
+		}
+		var state debugStateResponse
+		err = json.NewDecoder(resp.Body).Decode(&state)
+		resp.Body.Close()
+		if err != nil {
+			st.t.Fatalf("decoding /debug/state: %v", err)
+		}
+		streaming := false
+		for _, sess := range state.Sessions {
+			streaming = streaming || (sess.ID == st.id && sess.Streaming)
+		}
+		if !streaming {
+			return
+		}
+		if time.Now().After(deadline) {
+			st.t.Fatalf("session %s still streaming 10s after the client disconnected", st.id)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // mirror is the client-side replica of a session: it applies its own
@@ -423,7 +462,7 @@ func TestSessionResumeAfterDisconnect(t *testing.T) {
 		frames = append(frames, raw)
 		sent = append(sent, ev)
 	}
-	st.abort() // mid-flight disconnect, no clean EOF
+	st.disconnect() // mid-flight disconnect, no clean EOF
 
 	// Resume from seq 5: must replay exactly frames 6..10, byte-equal.
 	resp, err := ts.Client().Get(ts.URL + "/v1/session/" + created.SessionID + "/deltas?seq=5")

@@ -79,6 +79,13 @@ echo "== sparse construction gate"
 # moved the crossover past 5000.
 go test -run 'TestSparseStoredFactorsExact|TestSparseNeverOverAdmits|TestSparseWorkerCountBitIdentical|TestSparseBuildBeatsDenseAtScale' -count=1 ./internal/sched/
 
+echo "== verify-once differential gate"
+# sched.Assess (one load pass for violations, success probabilities
+# and expected failures) against a copy of the former three-pass code:
+# bit-identical over dense and sparse fields, every registered
+# algorithm, and random infeasible subsets.
+go test -run 'TestAssessMatchesLegacyThreePass' -count=1 ./internal/sched/
+
 echo "== sharded solver gate"
 # The tile-sharded solver under -race: the tile-worker concurrency
 # test, the shards=1 ≡ greedy bit-identity and Monte-Carlo feasibility
@@ -114,6 +121,12 @@ elif ! sh scripts/benchcmp.sh "$baseline" /tmp/bench_gate.json 40; then
     sh scripts/bench.sh -gate -o /tmp/bench_gate.json
     sh scripts/benchcmp.sh "$baseline" /tmp/bench_gate.json 40
 fi
+
+echo "== load benchmark smoke"
+# benchmark/ is its own module, so `go test ./...` above skips it: every
+# workload at n ≤ 300 with 1 s windows against a freshly built schedd,
+# checking each metric BENCHMARK.json names is reported (~5 s).
+go -C benchmark test -count=1 ./...
 
 echo "== serve smoke"
 # Boot the daemon end to end: listen, solve one instance over HTTP,
