@@ -29,9 +29,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkNewProblem|BenchmarkFieldBackends' -benchtime 2x .
 
 ## bench-field: field-construction kernels at a converged budget —
-## dense vs sparse builds (n up to 5000), the row-fill vs pair-fused
-## fill head-to-head behind FactorPairSpan, and the log1p/pow
-## micro-kernels
+## dense vs sparse builds (n up to 5000), a full n=2000 matrix of dense
+## row fills (what a field costs once every row is resident), and the
+## log1p/pow micro-kernels
 bench-field:
 	$(GO) test -run '^$$' -bench 'BenchmarkNewProblem$$' -benchtime 3s -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkFieldFill' -benchtime 2s -count=1 ./internal/radio/

@@ -24,11 +24,16 @@ import (
 	"repro/internal/obs"
 )
 
+// benchSeed seeds every table benchmark. It is a constant, not b.N, so
+// each iteration — and each run, whatever iteration count it settles
+// on — measures the same instances and reports the same figures.
+const benchSeed = 1
+
 // benchOpts is the reduced per-iteration budget: 6 instances × 50
 // slots keeps an iteration in the hundreds of milliseconds while
 // preserving every qualitative shape.
-func benchOpts(seed uint64) fadingrls.ExperimentOptions {
-	return fadingrls.ExperimentOptions{Seed: seed, Instances: 6, Slots: 50}
+func benchOpts() fadingrls.ExperimentOptions {
+	return fadingrls.ExperimentOptions{Seed: benchSeed, Instances: 6, Slots: 50}
 }
 
 func runSpec(b *testing.B, id string) *fadingrls.ResultTable {
@@ -37,7 +42,7 @@ func runSpec(b *testing.B, id string) *fadingrls.ResultTable {
 	if !ok {
 		b.Fatalf("spec %q missing", id)
 	}
-	tab, err := fadingrls.RunExperiment(spec, benchOpts(uint64(b.N)))
+	tab, err := fadingrls.RunExperiment(spec, benchOpts())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func BenchmarkTableARatios(b *testing.B) {
 	var tab *fadingrls.ResultTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = fadingrls.RunRatioTable(fadingrls.ExperimentOptions{Seed: uint64(b.N), Instances: 4})
+		tab, err = fadingrls.RunRatioTable(fadingrls.ExperimentOptions{Seed: benchSeed, Instances: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +126,7 @@ func BenchmarkTableBThm31(b *testing.B) {
 	b.ReportAllocs()
 	var rows []fadingrls.Thm31Row
 	for i := 0; i < b.N; i++ {
-		rows = fadingrls.RunThm31Table(uint64(b.N), 20000)
+		rows = fadingrls.RunThm31Table(benchSeed, 20000)
 	}
 	worst := 0.0
 	for _, r := range rows {
@@ -165,7 +170,7 @@ func BenchmarkTableEMultislot(b *testing.B) {
 	var tab *fadingrls.ResultTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = fadingrls.RunMultislotTable(fadingrls.ExperimentOptions{Seed: uint64(b.N), Instances: 3})
+		tab, err = fadingrls.RunMultislotTable(fadingrls.ExperimentOptions{Seed: benchSeed, Instances: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +185,7 @@ func BenchmarkTableFTraffic(b *testing.B) {
 	var tab *fadingrls.ResultTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = fadingrls.RunTrafficTable(fadingrls.ExperimentOptions{Seed: uint64(b.N), Instances: 2})
+		tab, err = fadingrls.RunTrafficTable(fadingrls.ExperimentOptions{Seed: benchSeed, Instances: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +200,7 @@ func BenchmarkTableGStaleness(b *testing.B) {
 	var tab *fadingrls.ResultTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = fadingrls.RunStalenessTable(fadingrls.ExperimentOptions{Seed: uint64(b.N), Instances: 3})
+		tab, err = fadingrls.RunStalenessTable(fadingrls.ExperimentOptions{Seed: benchSeed, Instances: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +215,7 @@ func BenchmarkTableHDiversity(b *testing.B) {
 	var tab *fadingrls.ResultTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = fadingrls.RunDiversityTable(fadingrls.ExperimentOptions{Seed: uint64(b.N), Instances: 3})
+		tab, err = fadingrls.RunDiversityTable(fadingrls.ExperimentOptions{Seed: benchSeed, Instances: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,8 +251,9 @@ var fieldBackends = []struct {
 }
 
 // BenchmarkNewProblem measures interference-field construction alone:
-// the dense backend is Θ(n²) factor evaluations, the sparse one is
-// output-sensitive in the number of stored near-field pairs.
+// the dense backend hoists O(n) kernel inputs and fills factor rows
+// only as solves read them, the sparse one is output-sensitive in the
+// number of stored near-field pairs.
 func BenchmarkNewProblem(b *testing.B) {
 	b.ReportAllocs()
 	p := fadingrls.DefaultParams()
@@ -305,8 +311,9 @@ func BenchmarkFieldBackends(b *testing.B) {
 }
 
 // BenchmarkSolveColdBuild is the no-reuse baseline at n=2000 dense:
-// every iteration pays the full O(n²) field construction before the
-// RLE solve — what a caller who rebuilds the Problem per query pays.
+// every iteration builds a fresh field and fills every factor row the
+// RLE solve reads — what a caller who rebuilds the Problem per query
+// pays.
 func BenchmarkSolveColdBuild(b *testing.B) {
 	b.ReportAllocs()
 	ls := benchLinks(b, 2000)

@@ -353,7 +353,8 @@ func TestTraceSmoke(t *testing.T) {
 		Recent []struct {
 			TraceID string `json:"trace_id"`
 			Spans   []struct {
-				Name string `json:"name"`
+				Name  string         `json:"name"`
+				Attrs map[string]any `json:"attrs"`
 			} `json:"spans"`
 		} `json:"recent"`
 	}
@@ -364,27 +365,45 @@ func TestTraceSmoke(t *testing.T) {
 	if dbg.Recorder.Seen < 2 {
 		t.Fatalf("recorder saw %d traces, want ≥2", dbg.Recorder.Seen)
 	}
+	// The dense field fills sender rows as the solver reads them, so
+	// the build has no fill phase and the solve and session-event spans
+	// report the resident rows — for RLE at n=2000, a small share.
 	names := map[string]map[string]bool{}
+	denseRows := map[string]map[string]float64{}
 	for _, tr := range dbg.Recent {
 		set := map[string]bool{}
+		rows := map[string]float64{}
 		for _, sp := range tr.Spans {
 			set[sp.Name] = true
+			if v, ok := sp.Attrs["dense_rows"].(float64); ok {
+				rows[sp.Name] = v
+			}
 		}
 		names[tr.TraceID] = set
+		denseRows[tr.TraceID] = rows
 	}
 	solveSpans, ok := names[solveTrace]
 	if !ok {
 		t.Fatalf("solve trace %s not in recorder; have %v", solveTrace, names)
 	}
-	for _, want := range []string{"field_build", "dense_fill", "solve"} {
+	for _, want := range []string{"field_build", "solve"} {
 		if !solveSpans[want] {
 			t.Errorf("solve trace missing %q span; have %v", want, solveSpans)
 		}
 	}
+	if solveSpans["dense_fill"] {
+		t.Errorf("solve trace still records an eager dense_fill span; have %v", solveSpans)
+	}
+	if rows, ok := denseRows[solveTrace]["solve"]; !ok || rows < 1 || rows >= 2000 {
+		t.Errorf("solve span dense_rows = %v (present %v), want in [1, 2000)", rows, ok)
+	}
 	sessionTraced := false
-	for _, set := range names {
+	for id, set := range names {
 		if set["session_event"] {
 			sessionTraced = true
+			if _, ok := denseRows[id]["session_event"]; !ok {
+				t.Errorf("session_event span in trace %s has no dense_rows attribute", id)
+			}
 		}
 	}
 	if !sessionTraced {

@@ -191,9 +191,9 @@ func NewProblem(ls *LinkSet, p Params, opts ...ProblemOption) (*Problem, error) 
 }
 
 // NewProblemContext is NewProblem under a context: when ctx carries a
-// trace span (obs.ContextWithSpan) the O(n²) field construction is
-// recorded as nested spans — the backend's fill/build phases included —
-// in that request's trace.
+// trace span (obs.ContextWithSpan) the field construction is recorded
+// as nested spans — the sparse backend's grid/fill/merge phases
+// included — in that request's trace.
 func NewProblemContext(ctx context.Context, ls *LinkSet, p Params, opts ...ProblemOption) (*Problem, error) {
 	return sched.NewProblemContext(ctx, ls, p, opts...)
 }

@@ -16,14 +16,16 @@ import (
 // whatever drifted, Editor applies one explicit event at a time and
 // picks the cheapest update the event admits:
 //
-//   - move goes through Problem.Rebind — the dense backend patches only
-//     the moved link's row and column, O(n) instead of the O(n²)
-//     rebuild, which is what makes per-event re-solving affordable;
+//   - move goes through Problem.Rebind — the dense backend drops the
+//     moved link's row and patches its column in the resident rows
+//     instead of rebuilding, which is what makes per-event re-solving
+//     affordable;
 //   - retune goes through Prepared.Derive — ε never enters the stored
 //     factors, so the field is reused untouched;
 //   - add and remove change the link count, which no backend can patch
 //     incrementally; they rebuild the field (counted by Rebuilds so
-//     callers can account for the O(n²) cost honestly).
+//     callers can account for the cost honestly: every row the
+//     solves had filled is filled again on demand).
 //
 // Every mutator validates the candidate geometry through NewLinkSet
 // before touching the problem, so a rejected event provably leaves the
@@ -80,10 +82,10 @@ func (ed *Editor) Apply(ev *network.SessionEvent) error {
 
 // ApplyContext is Apply under a context. When ctx carries a trace span
 // the update path the event took is recorded as a distinct span —
-// "rebind" for a move (the O(n) dense row/column patch), "rebuild" for
-// add/remove (a full field reconstruction, with the builder's fill
+// "rebind" for a move (the dense row drop and column patch), "rebuild"
+// for add/remove (a full field reconstruction, with the builder's
 // phases nested inside), "derive" for a retune (field reused
-// untouched) — so a session trace shows which events paid O(n²).
+// untouched) — so a session trace shows which events paid a rebuild.
 func (ed *Editor) ApplyContext(ctx context.Context, ev *network.SessionEvent) error {
 	parent := obs.SpanFrom(ctx)
 	switch ev.Type {

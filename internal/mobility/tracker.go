@@ -11,9 +11,9 @@ import (
 // problem's interference field current as nodes move, using
 // Problem.Rebind's incremental patching instead of rebuilding the
 // instance from scratch every step. On the dense backend one tracked
-// step costs O(|moved|·n) factor updates rather than the O(n²) full
-// construction — the difference between re-planning every slot and
-// re-planning only when the geometry actually changed.
+// step costs O(|moved|·resident rows) factor updates rather than a
+// rebuild that refills every row — the difference between re-planning
+// every slot and re-planning only when the geometry actually changed.
 //
 // Tol trades accuracy for update volume: a link is re-bound only once
 // its sender has drifted more than Tol from the position its factors

@@ -21,8 +21,9 @@ import (
 //
 // Kernel consistency contract: Factor, FactorRow, and FactorSpan
 // evaluate the identical operation sequence, so any mix of row fills,
-// span fills, and scalar patches (the Rebind path) produces
-// bit-identical stored factors. The sched differential tests pin this.
+// span fills, and scalar evaluations (a dense field's unfilled rows,
+// the Rebind column patches) produces bit-identical factors. The sched
+// differential tests pin this.
 // Numerically the kernel tracks the reference InterferenceFactorP
 // within a few ulp — the pow family is ≤ 1 ulp from correctly rounded
 // (tighter than math.Pow, see mathx.HalfPow) and the log1p is
@@ -113,56 +114,6 @@ func (k FieldKernel) FactorRow(pi, sx, sy float64, rx, ry, K []float64, self int
 	}
 	if self >= 0 {
 		out[self] = 0
-	}
-}
-
-// FactorPairSpan fills both directions of link i against a span of
-// links [0, len(rowOut)) in one pass: for each j in the span,
-//
-//	rowOut[j]        = Factor(pi·K[j], d(s_i, r_j)²)   — contiguous,
-//	colOut[j·stride] = Factor(p[j]·Ki, d(s_j, r_i)²)   — strided mirror.
-//
-// The two distances are independent (the factor's distance runs
-// sender→receiver, which is not symmetric), so no arithmetic is
-// shared; the fusion wins by overlapping two long-latency
-// divide/sqrt/log1p chains per iteration where the row fill exposes
-// one (measured 1.5× on the α = 3 kernel, `make bench-field`). Both
-// expressions are the verbatim FactorRow bodies with identical operand
-// order, so a matrix filled pairwise is bit-identical to one filled by
-// rows — the kernel consistency contract extends to this primitive.
-//
-// The span must not contain link i itself (callers partition i out or
-// start the span past i); the diagonal is never written.
-func (k FieldKernel) FactorPairSpan(pi, sxi, syi, rxi, ryi, Ki float64, p, sx, sy, rx, ry, K []float64, rowOut []float64, colOut []float64, stride int) {
-	n := len(rowOut)
-	sx = sx[:n]
-	sy = sy[:n]
-	rx = rx[:n]
-	ry = ry[:n]
-	K = K[:n]
-	p = p[:n]
-	if k.hp.Kind() == mathx.PowXSqrtX { // α = 3, the paper default
-		for j := 0; j < n; j++ {
-			dx := rx[j] - sxi
-			dy := ry[j] - syi
-			d2 := dx*dx + dy*dy
-			rowOut[j] = mathx.Log1pPos(pi * K[j] / (d2 * math.Sqrt(d2)))
-			ex := rxi - sx[j]
-			ey := ryi - sy[j]
-			e2 := ex*ex + ey*ey
-			colOut[j*stride] = mathx.Log1pPos(p[j] * Ki / (e2 * math.Sqrt(e2)))
-		}
-		return
-	}
-	for j := 0; j < n; j++ {
-		dx := rx[j] - sxi
-		dy := ry[j] - syi
-		d2 := dx*dx + dy*dy
-		rowOut[j] = mathx.Log1pPos(pi * K[j] / k.hp.Raise(d2))
-		ex := rxi - sx[j]
-		ey := ryi - sy[j]
-		e2 := ex*ex + ey*ey
-		colOut[j*stride] = mathx.Log1pPos(p[j] * Ki / k.hp.Raise(e2))
 	}
 }
 

@@ -1,44 +1,44 @@
 package sched
 
 import (
-	"context"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/network"
-	"repro/internal/obs"
 	"repro/internal/radio"
 )
 
-// denseParallelThreshold is the instance size below which the dense
-// factor matrix is filled serially: goroutine startup costs more than
-// the O(n²) work it would split.
-const denseParallelThreshold = 192
-
-// DenseField is the exact interference backend: the full row-major
-// n×n factor matrix, the original Problem representation. Construction
-// is row-sharded across GOMAXPROCS workers — each sender row is an
-// independent slice of the matrix, so workers share nothing and the
-// result is bit-identical at any worker count.
+// DenseField is the exact interference backend: the row-major n×n
+// factor matrix, the original Problem representation, filled one
+// sender row at a time on first use. Corollary 3.1 only ever sums
+// f_ij over active senders, so a solve reads the rows of the links it
+// admits and little else; building the matrix up front would pay n²
+// factor evaluations for a few percent of them. Construction is
+// therefore O(n): it hoists the flat SoA kernel inputs (sender and
+// receiver coordinates, the per-receiver constant K_j = γ_th·d_jj^α/p_j)
+// from the LinkSet and nothing more.
 //
-// Rows are filled by radio.FieldKernel.FactorRow over flat SoA
-// coordinate arrays hoisted from the LinkSet once per build: the
-// per-receiver constant K_j = γ_th·d_jj^α/p_j is precomputed, the
-// inner loop sees squared distances only (no sqrt per pair), and the
-// α-specialized pow family replaces math.Pow (α = 3 runs on one
-// multiply and one sqrt per pair). The same SoA arrays back the
-// incremental rebind patches, which go through the identical kernel
-// and therefore reproduce fill bits exactly.
+// row(i) — behind Accum/tileAccum.AddLink and ForEachAffected — fills
+// sender i's row with radio.FieldKernel.FactorRow the first time it is
+// asked for and publishes it with one atomic compare-and-swap. Solves
+// sharing a Prepared therefore never lock and never see a half-filled
+// row; when two race to fill the same row, the loser adopts the
+// winner's and drops its own bit-identical copy. Factor(i, j) reads a
+// resident row, or else evaluates the scalar FieldKernel.Factor
+// without filling: the kernel consistency contract makes the two
+// bit-identical, so a field's answers never depend on which rows
+// happen to be resident.
 type DenseField struct {
 	ls     *network.LinkSet
 	params radio.Params
 	kern   radio.FieldKernel
-	// factor[i*n+j] = f_{i,j} (0 on the diagonal, per Eq. 17),
-	// computed with each link's effective transmit power.
-	factor []float64
-	noise  []float64
-	power  []float64
+	// rows[i] is sender i's factor row once filled (nil before):
+	// (*rows[i])[j] = f_{i,j}, 0 on the diagonal per Eq. 17, computed
+	// with each link's effective transmit power. resident counts the
+	// filled rows.
+	rows     []atomic.Pointer[[]float64]
+	resident atomic.Int64
+	noise    []float64
+	power    []float64
 	// Flat kernel inputs: sender and receiver coordinates, and the
 	// hoisted per-receiver constant K.
 	sx, sy []float64
@@ -47,112 +47,24 @@ type DenseField struct {
 	n      int
 }
 
-func newDenseField(ctx context.Context, ls *network.LinkSet, p radio.Params) *DenseField {
-	return newDenseFieldWorkers(ctx, ls, p, runtime.GOMAXPROCS(0))
-}
-
-// newDenseFieldWorkers exposes the worker count so tests can prove the
-// parallel fill is bit-identical to the serial one. When ctx carries a
-// trace span, each worker's row chunk is recorded as a "dense_fill"
-// child — concurrent siblings in the trace, so a straggling shard is
-// visible.
-func newDenseFieldWorkers(ctx context.Context, ls *network.LinkSet, p radio.Params, workers int) *DenseField {
+func newDenseField(ls *network.LinkSet, p radio.Params) *DenseField {
 	n := ls.Len()
 	f := &DenseField{
 		ls: ls, params: p, kern: p.FieldKernel(), n: n,
-		factor: make([]float64, n*n),
-		noise:  make([]float64, n),
-		power:  make([]float64, n),
-		sx:     make([]float64, n),
-		sy:     make([]float64, n),
-		rx:     make([]float64, n),
-		ry:     make([]float64, n),
-		kc:     make([]float64, n),
+		rows:  make([]atomic.Pointer[[]float64], n),
+		noise: make([]float64, n),
+		power: make([]float64, n),
+		sx:    make([]float64, n),
+		sy:    make([]float64, n),
+		rx:    make([]float64, n),
+		ry:    make([]float64, n),
+		kc:    make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		f.power[i] = p.EffectivePower(ls.Power(i))
 		f.bindGeometry(ls, i)
 	}
-	if workers < 1 || n < denseParallelThreshold {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	parent := obs.SpanFrom(ctx)
-	if workers <= 1 {
-		sp := parent.Child("dense_fill")
-		sp.SetInt("rows", int64(n))
-		f.fillRows(0, n)
-		sp.End()
-		return f
-	}
-
-	// Parallel fill over unordered band pairs: rows are cut into bands
-	// and each task {a, b} fills the two mirrored blocks
-	// (rows a × cols b) ∪ (rows b × cols a) through the pair-fused
-	// kernel — two factor chains per iteration instead of one, the
-	// measured win behind FactorPairSpan. Distinct unordered pairs own
-	// disjoint matrix elements, so workers pulling tasks from an atomic
-	// cursor share nothing, and the fused expressions are bit-identical
-	// to FactorRow's, so the result matches the serial fill exactly at
-	// any worker count.
-	bands := 2 * workers
-	if bands > n {
-		bands = n
-	}
-	width := (n + bands - 1) / bands
-	type blockTask struct{ a, b int32 }
-	tasks := make([]blockTask, 0, bands*(bands+1)/2)
-	for a := 0; a < bands; a++ {
-		for b := a; b < bands; b++ {
-			tasks = append(tasks, blockTask{int32(a), int32(b)})
-		}
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := parent.Child("dense_fill")
-			blocks := 0
-			for {
-				t := int(cursor.Add(1)) - 1
-				if t >= len(tasks) {
-					break
-				}
-				f.fillBlockPair(int(tasks[t].a)*width, int(tasks[t].b)*width, width)
-				blocks++
-			}
-			sp.SetInt("blocks", int64(blocks))
-			sp.End()
-		}()
-	}
-	wg.Wait()
 	return f
-}
-
-// fillBlockPair fills both directions of every pair (i, j) with
-// i ∈ [alo, alo+width), j ∈ [blo, blo+width), j > i — the two mirrored
-// blocks an unordered band pair owns. For the diagonal block
-// (alo == blo) the span starts past i, which also keeps the zeroed
-// diagonal untouched.
-func (f *DenseField) fillBlockPair(alo, blo, width int) {
-	ahi := min(alo+width, f.n)
-	bhi := min(blo+width, f.n)
-	for i := alo; i < ahi; i++ {
-		lo := blo
-		if lo <= i {
-			lo = i + 1
-		}
-		if lo >= bhi {
-			continue
-		}
-		f.kern.FactorPairSpan(f.power[i], f.sx[i], f.sy[i], f.rx[i], f.ry[i], f.kc[i],
-			f.power[lo:bhi], f.sx[lo:bhi], f.sy[lo:bhi], f.rx[lo:bhi], f.ry[lo:bhi], f.kc[lo:bhi],
-			f.factor[i*f.n+lo:i*f.n+bhi], f.factor[lo*f.n+i:], f.n)
-	}
 }
 
 // bindGeometry refreshes link i's kernel inputs (coordinates, noise
@@ -165,18 +77,22 @@ func (f *DenseField) bindGeometry(ls *network.LinkSet, i int) {
 	f.kc[i] = f.kern.ReceiverConst(f.power[i], ls.Length(i))
 }
 
-// fillRows computes the factor rows of senders [lo, hi).
-func (f *DenseField) fillRows(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		f.kern.FactorRow(f.power[i], f.sx[i], f.sy[i], f.rx, f.ry, f.kc, i, f.factor[i*f.n:(i+1)*f.n])
-	}
-}
-
 // N implements InterferenceField.
 func (f *DenseField) N() int { return f.n }
 
-// Factor implements InterferenceField.
-func (f *DenseField) Factor(i, j int) float64 { return f.factor[i*f.n+j] }
+// Factor implements InterferenceField: the resident row's entry, or
+// the scalar kernel on the same operands when row i is not filled.
+func (f *DenseField) Factor(i, j int) float64 {
+	if r := f.rows[i].Load(); r != nil {
+		return (*r)[j]
+	}
+	if i == j {
+		return 0
+	}
+	dx := f.rx[j] - f.sx[i]
+	dy := f.ry[j] - f.sy[i]
+	return f.kern.Factor(f.power[i]*f.kc[j], dx*dx+dy*dy)
+}
 
 // NoiseTerm implements InterferenceField.
 func (f *DenseField) NoiseTerm(j int) float64 { return f.noise[j] }
@@ -188,10 +104,11 @@ func (f *DenseField) PowerOf(i int) float64 { return f.power[i] }
 // nothing.
 func (f *DenseField) TailBound(int) float64 { return 0 }
 
-// ForEachSignificant implements InterferenceField (a column scan).
+// ForEachSignificant implements InterferenceField (a column scan; it
+// fills no rows).
 func (f *DenseField) ForEachSignificant(j int, fn func(i int, fij float64)) {
 	for i := 0; i < f.n; i++ {
-		if v := f.factor[i*f.n+j]; v > 0 {
+		if v := f.Factor(i, j); v > 0 {
 			fn(i, v)
 		}
 	}
@@ -199,43 +116,69 @@ func (f *DenseField) ForEachSignificant(j int, fn func(i int, fij float64)) {
 
 // ForEachAffected implements InterferenceField (a row scan).
 func (f *DenseField) ForEachAffected(i int, fn func(j int, fij float64)) {
-	row := f.factor[i*f.n : (i+1)*f.n]
-	for j, v := range row {
+	for j, v := range f.row(i) {
 		if v > 0 {
 			fn(j, v)
 		}
 	}
 }
 
-// row returns sender i's factor row; the accumulator's dense fast path
-// walks it directly instead of paying a closure call per entry.
-func (f *DenseField) row(i int) []float64 { return f.factor[i*f.n : (i+1)*f.n] }
+// Bytes implements InterferenceField: 8n per resident row, plus the
+// seven per-link float64 inputs and the row pointer.
+func (f *DenseField) Bytes() int64 {
+	return 8 * int64(f.n) * (f.resident.Load() + 7 + 1)
+}
+
+// ResidentRows reports how many sender rows have been filled so far.
+func (f *DenseField) ResidentRows() int { return int(f.resident.Load()) }
+
+// row returns sender i's factor row, filling and publishing it on
+// first use; the accumulators' dense fast path walks it directly
+// instead of paying a closure call per entry.
+func (f *DenseField) row(i int) []float64 {
+	if r := f.rows[i].Load(); r != nil {
+		return *r
+	}
+	r := make([]float64, f.n)
+	f.kern.FactorRow(f.power[i], f.sx[i], f.sy[i], f.rx, f.ry, f.kc, i, r)
+	if !f.rows[i].CompareAndSwap(nil, &r) {
+		return *f.rows[i].Load()
+	}
+	f.resident.Add(1)
+	return r
+}
 
 // rebind implements the incremental-update hook used by
-// Problem.Rebind: the moved links' rows and columns are recomputed in
-// place against the new geometry, O(|moved|·n) instead of an O(n²)
-// rebuild. All links keep their identities (count, rates, powers);
-// only positions may differ.
+// Problem.Rebind: the moved links' kernel inputs are refreshed, their
+// rows are dropped (the next reader refills them against the new
+// geometry), and their columns are patched in the rows that stay
+// resident — O(|moved|·resident) instead of a rebuild that would drop
+// every filled row. All links keep their identities (count, rates,
+// powers); only positions may differ.
 //
-// The row refill runs the same FactorRow the build uses, and the
-// column patch runs the scalar Factor on the same squared-distance
-// expression — the kernel consistency contract makes both
-// bit-identical to a from-scratch build of the new geometry.
+// The column patch runs the scalar Factor on the same squared-distance
+// expression FactorRow uses, so the kernel consistency contract makes
+// every entry bit-identical to a from-scratch build of the new
+// geometry.
 func (f *DenseField) rebind(ls *network.LinkSet, moved []int) {
 	f.ls = ls
 	for _, i := range moved {
 		f.power[i] = f.params.EffectivePower(ls.Power(i))
 		f.bindGeometry(ls, i)
+		if f.rows[i].Swap(nil) != nil {
+			f.resident.Add(-1)
+		}
 	}
-	for _, i := range moved {
-		f.kern.FactorRow(f.power[i], f.sx[i], f.sy[i], f.rx, f.ry, f.kc, i, f.factor[i*f.n:(i+1)*f.n])
-		for q := 0; q < f.n; q++ {
-			if q == i {
-				continue
-			}
+	for q := range f.rows {
+		r := f.rows[q].Load()
+		if r == nil {
+			continue
+		}
+		row := *r
+		for _, i := range moved {
 			dx := f.rx[i] - f.sx[q]
 			dy := f.ry[i] - f.sy[q]
-			f.factor[q*f.n+i] = f.kern.Factor(f.power[q]*f.kc[i], dx*dx+dy*dy)
+			row[i] = f.kern.Factor(f.power[q]*f.kc[i], dx*dx+dy*dy)
 		}
 	}
 }

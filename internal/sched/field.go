@@ -13,8 +13,8 @@ import (
 // "how much does sender i's transmission eat into receiver j's
 // Corollary 3.1 budget" without committing to a storage strategy:
 //
-//   - DenseField materializes the full n×n factor matrix (exact, O(n²)
-//     memory, built in parallel);
+//   - DenseField is the exact n×n factor matrix, built in O(n) and
+//     filled one sender row at a time as solves first read it;
 //   - SparseField stores only near-field factors above a configurable
 //     cutoff and bounds the truncated far field conservatively.
 //
@@ -56,6 +56,8 @@ type InterferenceField interface {
 	// the incremental feasibility accumulators, whose per-receiver sums
 	// are order-independent.
 	ForEachAffected(i int, fn func(j int, f float64))
+	// Bytes reports the memory the field holds resident right now.
+	Bytes() int64
 }
 
 // fieldBuilder constructs a backend for a validated instance. ctx
@@ -74,12 +76,13 @@ type problemConfig struct {
 type Option func(*problemConfig)
 
 // WithDenseField selects the exact n×n matrix backend (the default):
-// O(n²) memory, parallel construction, zero truncation error.
+// zero truncation error, O(n) construction, and 8n bytes per sender
+// row the solves actually read.
 func WithDenseField() Option {
 	return func(c *problemConfig) {
 		c.name = "dense"
-		c.build = func(ctx context.Context, ls *network.LinkSet, p radio.Params) (InterferenceField, error) {
-			return newDenseField(ctx, ls, p), nil
+		c.build = func(_ context.Context, ls *network.LinkSet, p radio.Params) (InterferenceField, error) {
+			return newDenseField(ls, p), nil
 		}
 	}
 }

@@ -16,11 +16,13 @@ import (
 // plus everything the solvers can share across repeated runs on the
 // same link set — a sync.Pool of per-solve Scratch workspaces and a
 // set of immutable geometry caches (rule-1 sender indexes keyed by
-// cell side, the median link length, sender positions). Building the
-// field is the O(n²) part of a solve; once a Prepared exists, running
-// any registered algorithm on it costs only the algorithm itself, and
-// the scratch-pooled hot path (ScheduleInto) allocates nothing in
-// steady state.
+// cell side, the median link length, sender positions). The field is
+// the expensive part of a solve: a dense field fills a sender's factor
+// row the first time any solve on the handle reads it, so later solves
+// pay only for rows nobody has read yet. Once those are resident,
+// running an algorithm costs only the algorithm itself, and the
+// scratch-pooled hot path (ScheduleInto) allocates nothing in steady
+// state.
 //
 // A Prepared is safe for concurrent use: each solve checks a private
 // Scratch out of the pool, and the shared caches are immutable once
@@ -43,7 +45,7 @@ func Prepare(ls *network.LinkSet, p radio.Params, opts ...Option) (*Prepared, er
 }
 
 // PrepareContext is Prepare under a context: when ctx carries a trace
-// span the O(n²) field construction is recorded in the request's trace
+// span the field construction is recorded in the request's trace
 // (see NewProblemContext).
 func PrepareContext(ctx context.Context, ls *network.LinkSet, p radio.Params, opts ...Option) (*Prepared, error) {
 	pr, err := NewProblemContext(ctx, ls, p, opts...)

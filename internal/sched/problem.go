@@ -38,11 +38,12 @@ func NewProblem(ls *network.LinkSet, p radio.Params, opts ...Option) (*Problem, 
 }
 
 // NewProblemContext is NewProblem under a context. When ctx carries a
-// trace span (obs.ContextWithSpan) the field construction — the O(n²)
-// part of a cold solve — is recorded as a "field_build" span with the
-// backend, instance size, and kernel pow specialization attached; the
-// builders nest their parallel fill phases under it. ctx is not a
-// cancellation signal here: a build always runs to completion.
+// trace span (obs.ContextWithSpan) the field construction is recorded
+// as a "field_build" span with the backend, instance size, and kernel
+// pow specialization attached; the sparse builder nests its grid, fill
+// and merge phases under it (a dense build is O(n) and has none). ctx
+// is not a cancellation signal here: a build always runs to
+// completion.
 func NewProblemContext(ctx context.Context, ls *network.LinkSet, p radio.Params, opts ...Option) (*Problem, error) {
 	if ls == nil {
 		return nil, fmt.Errorf("sched: nil link set")
@@ -112,9 +113,10 @@ func (pr *Problem) PowerOf(i int) float64 { return pr.field.PowerOf(i) }
 // Rebind points the instance at a moved copy of the same links (same
 // count, rates, and powers; only positions may differ) and patches the
 // interference field incrementally where the backend supports it. The
-// dense backend recomputes just the moved links' rows and columns in
-// place — O(|moved|·n) instead of the O(n²) full build — which is what
-// makes per-step mobility tracking affordable; other backends rebuild.
+// dense backend drops the moved links' rows and patches their columns
+// in the rows still resident — O(|moved|·resident) instead of a
+// rebuild that would discard every filled row — which is what makes
+// per-step mobility tracking affordable; other backends rebuild.
 // moved lists the link indices whose sender or receiver changed.
 func (pr *Problem) Rebind(ls *network.LinkSet, moved []int) error {
 	if ls == nil {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
@@ -78,10 +79,12 @@ type SparseField struct {
 	pairs int
 	// Receiver-major CSR (stored senders per receiver, ascending),
 	// built on demand: the solver hot paths only walk columns.
-	rowsOnce sync.Once
-	rowStart []int
-	rowIdx   []int32
-	rowF     []float64
+	// rowsBuilt publishes its completion to Bytes.
+	rowsOnce  sync.Once
+	rowsBuilt atomic.Bool
+	rowStart  []int
+	rowIdx    []int32
+	rowF      []float64
 }
 
 func newSparseField(ctx context.Context, ls *network.LinkSet, p radio.Params, o SparseOptions) (*SparseField, error) {
@@ -354,6 +357,7 @@ func (f *SparseField) buildRows() {
 				cursor[j]++
 			}
 		}
+		f.rowsBuilt.Store(true)
 	})
 }
 
@@ -393,6 +397,18 @@ func (f *SparseField) ForEachAffected(i int, fn func(j int, fij float64)) {
 	for k := f.colStart[i]; k < f.colStart[i+1]; k++ {
 		fn(int(f.ids[f.colIdx[k]]), f.colF[k])
 	}
+}
+
+// Bytes implements InterferenceField: the sender-major CSR arrays and
+// the per-link power, noise, tail-cap and rank arrays, plus the
+// receiver-major transpose once something has built it.
+func (f *SparseField) Bytes() int64 {
+	csr := 12*int64(f.pairs) + 8*int64(f.n+1)
+	b := csr + 32*int64(f.n)
+	if f.rowsBuilt.Load() {
+		b += csr
+	}
+	return b
 }
 
 // StoredPairs returns how many (sender, receiver) factors are

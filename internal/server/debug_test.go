@@ -112,9 +112,22 @@ func TestDebugRequestsListsSolveTrace(t *testing.T) {
 		t.Fatalf("trace status = %d, want 200", snap.Status)
 	}
 	names := spanNames(*snap)
-	for _, want := range []string{"cache_lookup", "pool_wait", "prepare", "field_build", "dense_fill", "solve", "encode"} {
+	for _, want := range []string{"cache_lookup", "pool_wait", "prepare", "field_build", "solve", "encode"} {
 		if names[want] == 0 {
 			t.Fatalf("trace missing span %q (have %v)", want, names)
+		}
+	}
+	// The dense build fills no rows; the solve span reports how many
+	// the solver's reads made resident.
+	if names["dense_fill"] != 0 {
+		t.Fatalf("trace records an eager dense_fill span (have %v)", names)
+	}
+	for _, sp := range snap.Spans {
+		if sp.Name != "solve" {
+			continue
+		}
+		if rows, ok := sp.Attrs["dense_rows"].(float64); !ok || rows < 1 || rows > 30 {
+			t.Fatalf("solve span dense_rows = %v, want in [1, 30]", sp.Attrs["dense_rows"])
 		}
 	}
 	// The solver's phase spans nest under "solve" — at least one phase
@@ -217,6 +230,11 @@ func TestDebugStateReportsSessionsAndCaches(t *testing.T) {
 	for _, e := range st.Prepared {
 		if e.Building {
 			t.Fatalf("entry %+v still building after responses returned", e)
+		}
+		// A dense field holds 64 bytes of inputs per link plus 8n per
+		// sender row its greedy solve filled.
+		if lo, hi := int64(64*e.N), int64(8*e.N*(e.N+8)); e.Bytes <= lo || e.Bytes > hi {
+			t.Fatalf("entry %+v: bytes outside (%d, %d]", e, lo, hi)
 		}
 		if e.Pins > 0 {
 			pinned++

@@ -12,9 +12,9 @@ import (
 // prepCache is the bounded LRU of prepared interference fields, keyed
 // by the canonical field hash (SolveRequest.fieldKey). It is a
 // deliberately separate tier from resultCache: a response-cache miss
-// on (linkset, algorithm, params) still reuses the O(n²) field built
-// for any prior algorithm or ε on the same link set — the expensive
-// object outlives the cheap one.
+// on (linkset, algorithm, params) still reuses the field, and every
+// factor row filled, for any prior algorithm or ε on the same link
+// set — the expensive object outlives the cheap one.
 //
 // Construction is single-flight: concurrent misses on one key share a
 // sync.Once, so a field is built at most once per cache residency no
@@ -235,13 +235,16 @@ func (c *prepCache) remove(k cacheKey, e *prepEntry) {
 
 // prepEntryInfo is one resident prepared-field entry as reported by
 // GET /debug/state: the truncated key, pin count, and — once the
-// single-flight build has finished — the instance it holds.
+// single-flight build has finished — the instance it holds and the
+// bytes its field keeps resident (a dense field grows as solves fill
+// its rows).
 type prepEntryInfo struct {
 	Key      string `json:"key"`
 	Pins     int    `json:"pins"`
 	Building bool   `json:"building,omitempty"`
 	N        int    `json:"n,omitempty"`
 	Field    string `json:"field,omitempty"`
+	Bytes    int64  `json:"bytes,omitempty"`
 }
 
 // snapshot lists resident entries most-recently-used first.
@@ -261,6 +264,13 @@ func (c *prepCache) snapshot() []prepEntryInfo {
 			pr := e.prep.Problem()
 			info.N = pr.N()
 			info.Field = pr.FieldName()
+			// A session's move rebinds its pinned field under the session
+			// lock, not this one. Dense rebinds patch the field in place,
+			// but a non-dense rebind replaces it, so a pinned non-dense
+			// field is not read here.
+			if e.pins == 0 || info.Field == "dense" {
+				info.Bytes = pr.Field().Bytes()
+			}
 		}
 		out = append(out, info)
 	}

@@ -33,8 +33,9 @@ type Config struct {
 	// PreparedCacheSize is the LRU capacity in prepared interference
 	// fields (0 = 16, negative disables). This tier is separate from
 	// the response cache: one resident field serves every algorithm and
-	// ε on its link set. Dense fields cost O(n²) memory — n=2000 is
-	// ~32 MiB — so the default stays small.
+	// ε on its link set. A dense field grows by 8n bytes per sender row
+	// its solves read, up to n² — ~32 MiB at n=2000 — so the default
+	// stays small.
 	PreparedCacheSize int
 	// MaxBodyBytes caps the request body (0 = 8 MiB). Larger bodies
 	// get 413.
@@ -427,7 +428,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // field constructions attributed to this caller (the batch endpoint
 // reports it). The span on ctx covers the whole resolution; a miss
 // additionally nests the builder's field_build span, so the trace
-// distinguishes a cache wait from a paid O(n²) construction.
+// distinguishes a cache wait from a paid construction.
 func (s *Server) prepared(ctx context.Context, q *SolveRequest, builds *atomic.Int64) (*sched.Prepared, error) {
 	sp := obs.SpanFrom(ctx)
 	hit := true
@@ -461,6 +462,15 @@ func (s *Server) prepared(ctx context.Context, q *SolveRequest, builds *atomic.I
 		return nil, &badRequestError{msg: err.Error()}
 	}
 	return dp, nil
+}
+
+// setDenseRows records on sp how many sender rows pr's dense field
+// holds resident after a solve: the part of the n×n matrix the solves
+// on it have read so far.
+func setDenseRows(sp obs.Span, pr *sched.Problem) {
+	if d, ok := pr.Field().(*sched.DenseField); ok && sp.Enabled() {
+		sp.SetInt("dense_rows", int64(d.ResidentRows()))
+	}
 }
 
 func cacheAttr(hit bool) string {
@@ -508,6 +518,7 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 	live := s.trackLiveSolve(ctx, a, pr.N(), tr)
 	schedule, err := solve(ctx, a, prep)
 	s.untrackLiveSolve(live)
+	setDenseRows(solveSp, pr)
 	solveSp.End()
 	if err != nil {
 		s.metrics.SolveError()

@@ -25,8 +25,9 @@ import (
 // move/add/remove/retune events (line-delimited JSON over one
 // long-lived full-duplex request) and receives re-solved schedule
 // deltas, each tagged with a monotonic sequence number. A move costs
-// only the patched DenseField row and column plus one warm solve —
-// never the O(n²) rebuild a fresh /v1/solve would pay.
+// only the DenseField column patch (and a row refill if the solve
+// reads the moved row) plus one warm solve — never a rebuild that
+// drops every row the session's solves have filled.
 //
 // Resume: every applied delta is retained in a bounded per-session
 // replay window; GET /v1/session/{id}/deltas?seq=N replays exactly the
@@ -454,6 +455,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	solveSp := root.Child("solve")
 	sch, err := sessionSolve(ctx, algo, prep, nil)
+	setDenseRows(solveSp, prep.Problem())
 	solveSp.End()
 	s.pool.release()
 	if err != nil {
@@ -565,6 +567,7 @@ func (s *Server) applySessionEvent(ctx context.Context, sess *session, ev *netwo
 	solveSp := esp.Child("solve")
 	sch, err := sessionSolve(ectx, sess.algo, sess.ed.Prepared(), sess.spare)
 	solveSp.End()
+	setDenseRows(esp, sess.ed.Prepared().Problem())
 	if err != nil {
 		// The geometry changed but the schedule could not follow; the
 		// session's streamed state no longer matches its field. Poison

@@ -21,8 +21,8 @@ import (
 // TrafficRequest is the wire form of one POST /v1/traffic query: a
 // queued-traffic simulation over the posted instance. The interference
 // field goes through the same prepared-field cache as /v1/solve, so a
-// traffic run on links the server has already solved pays no O(n²)
-// rebuild.
+// traffic run on links the server has already solved reuses the field
+// and the factor rows those solves filled.
 type TrafficRequest struct {
 	// Links is the instance, validated like a /v1/solve request.
 	Links []network.Link `json:"links"`

@@ -74,10 +74,20 @@ go test -run 'TestHalfPow|TestLog1pPos|TestFieldKernel|TestFactorRowSpan' -count
 
 echo "== sparse construction gate"
 # The sparse backend must stay conservative-only (stored factors
-# bit-identical to dense, truncation never over-admits) and must beat
-# the dense fill at scale — n=8000 since the pair-fused dense fill
-# moved the crossover past 5000.
+# bit-identical to dense, truncation never over-admits) and its build
+# must beat filling every dense row at scale (n=8000): the n² work a
+# dense field pays once every row is read.
 go test -run 'TestSparseStoredFactorsExact|TestSparseNeverOverAdmits|TestSparseWorkerCountBitIdentical|TestSparseBuildBeatsDenseAtScale' -count=1 ./internal/sched/
+
+echo "== demand-fill gate"
+# The dense field fills a sender's factor row on first use. Under
+# -race, uncached: every registered algorithm on a fresh field against
+# a fully resident one (several seeds and a Derive'd ε; schedules and
+# Assess bit-identical), concurrent solves of every algorithm racing
+# to fill rows of one fresh Prepared (matching serial solves), and a
+# rebind of a partly resident field (every Factor equal to a fresh
+# build's).
+go test -race -run 'TestDense' -count=1 ./internal/sched/
 
 echo "== verify-once differential gate"
 # sched.Assess (one load pass for violations, success probabilities
