@@ -57,10 +57,11 @@ bench-shard:
 test-shard:
 	$(GO) test -race -run 'TestSharded|FuzzShardedFeasible' -count=1 ./internal/sched/
 
-## bench-traffic: traffic-engine per-slot cost (0 allocs/op) and the
-## ≥1M-packet n=5000 throughput run with its packets/sec metric
+## bench-traffic: traffic-engine per-slot cost (0 allocs/op), the
+## ≥1M-packet n=5000 throughput run with its packets/sec metric, and
+## the light n=2000 max-weight run with its slots/sec metric
 bench-traffic:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineStep$$|BenchmarkEngineThroughput$$' ./internal/traffic/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineStep$$|BenchmarkEngineThroughput$$|BenchmarkEngineLight$$' ./internal/traffic/
 
 ## bench-serve: schedd cold/prepared-field/warm cache benchmark (n=1000)
 bench-serve:

@@ -22,11 +22,13 @@ const (
 	KeyIncumbents    = "incumbent_updates"
 	KeySubtreeTasks  = "subtree_tasks"
 
-	// DLS protocol rounds.
-	KeyRounds = "rounds"
-	KeyWinner = "round_winners"
-	KeyNacks  = "nacks"
-	KeyGaveUp = "gave_up"
+	// DLS protocol rounds. KeyContentionChecks counts evaluations of
+	// the leader election's contention predicate.
+	KeyRounds           = "rounds"
+	KeyWinner           = "round_winners"
+	KeyNacks            = "nacks"
+	KeyGaveUp           = "gave_up"
+	KeyContentionChecks = "contention_checks"
 
 	// Elimination core (RLE, ApproxDiversity).
 	KeyPicks = "picks"

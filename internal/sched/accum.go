@@ -22,7 +22,13 @@ type Accum struct {
 	field InterferenceField
 	// dense short-circuits AddLink/RemoveLink through a raw row walk
 	// when the backend is the exact matrix (nil otherwise).
-	dense    *DenseField
+	dense *DenseField
+	// only, when non-nil, limits the dense AddLink walk to these
+	// receivers, leaving every other receiver's load meaningless: a
+	// selection-restricted greedy reads its candidates' loads and
+	// nothing else (see Greedy.scheduleRestricted). Sparse walks
+	// ignore it; reset clears it.
+	only     []int
 	gammaEps float64
 	load     []float64
 	// nearPow[j] = Σ P_i over active i whose factor on j is stored,
@@ -63,6 +69,7 @@ func (a *Accum) reset(f InterferenceField) {
 	n := f.N()
 	a.field = f
 	a.dense, _ = f.(*DenseField)
+	a.only = nil
 	a.gammaEps = 0
 	a.load = floatsIn(&a.load, n)
 	clear(a.load)
@@ -93,7 +100,16 @@ func (a *Accum) reset(f InterferenceField) {
 // AddLink folds sender i into the active set.
 func (a *Accum) AddLink(i int) {
 	if a.dense != nil {
-		for j, v := range a.dense.row(i) {
+		row := a.dense.row(i)
+		if a.only != nil {
+			for _, j := range a.only {
+				if v := row[j]; v > 0 {
+					a.load[j] += v
+				}
+			}
+			return
+		}
+		for j, v := range row {
 			if v > 0 {
 				a.load[j] += v
 			}

@@ -123,7 +123,12 @@ func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scrat
 			pr.Links.Link(i).Sender.Dist(pr.Links.Link(j).Receiver) < c1*pr.Links.Length(j)
 	}
 
-	var ranRounds, totalWinners, totalNacks int64
+	// Step 1's priority scale δ, the shortest link length, is fixed for
+	// the whole run.
+	delta, _ := pr.Links.MinLength()
+	prio := floatsIn(&scr.prio, n)
+
+	var ranRounds, totalWinners, totalNacks, checks int64
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return Schedule{}, err
@@ -158,25 +163,31 @@ func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scrat
 		// shortest-first pick rule — each node needs only its own link
 		// length and δ (a deployment constant) to compute it. prio is
 		// indexed by link; only undecided entries are written and read.
-		delta, _ := pr.Links.MinLength()
-		prio := floatsIn(&scr.prio, n)
 		for _, i := range undecided {
 			u := rng.Stream(a.Seed, "dls-prio", uint64(i)<<20|uint64(round)).Float64Open()
 			w := pr.Links.Length(i) / delta
 			prio[i] = math.Pow(u, w*w)
 		}
 
-		// Step 2: local leader election.
+		// Step 2: local leader election. Link j outranks link i when its
+		// priority is higher, or equal with the lower index (which keeps
+		// the election deterministic on equal draws, as when long links'
+		// priorities underflow to 0). A link wins when no contending
+		// undecided link outranks it, so ranking the undecided links once
+		// lets each check only the links above it and stop at the first
+		// contender. Winners leave in index order, which commitRound's
+		// NACK tie-break depends on.
+		ps := scr.pickSorterBufs(len(undecided), false)
+		for k, i := range undecided {
+			ps.order[k], ps.k1[k] = i, -prio[i]
+		}
+		sort.Stable(ps)
 		winners := scr.winners[:0]
-		for _, i := range undecided {
+		for r, i := range ps.order {
 			won := true
-			for _, j := range undecided {
-				if i == j || !contends(i, j) {
-					continue
-				}
-				// Strict comparison with index tie-break keeps the
-				// election deterministic even on equal draws.
-				if prio[j] > prio[i] || (prio[j] == prio[i] && j < i) {
+			for _, j := range ps.order[:r] {
+				checks++
+				if contends(i, j) {
 					won = false
 					break
 				}
@@ -185,6 +196,7 @@ func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scrat
 				winners = append(winners, i)
 			}
 		}
+		sort.Ints(winners)
 		scr.winners = winners
 		if len(winners) == 0 {
 			continue
@@ -207,6 +219,7 @@ func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scrat
 		tr.Count(obs.KeyWinner, totalWinners)
 		tr.Count(obs.KeyNacks, totalNacks)
 		tr.Count(obs.KeyGaveUp, gaveUp)
+		tr.Count(obs.KeyContentionChecks, checks)
 	}
 	return finishSchedule(a.Name(), active, dst), nil
 }

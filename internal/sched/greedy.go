@@ -73,28 +73,44 @@ func (sel Selection) admits(i int) bool {
 	return true
 }
 
-// scheduleRestricted is scheduleScratch generalized over a Selection:
-// the zero Selection reproduces plain greedy bit-for-bit (same sort
-// keys, same insertion loop). Because a stable sort restricted to a
-// subset equals the stable sort of that subset, masking here matches
-// legacy sub-problem solves exactly.
+// scheduleRestricted is scheduleScratch generalized over a Selection.
+// It lists the links the selection admits, in index order, and
+// stable-sorts only that list: a stable sort restricted to a subset
+// equals the stable sort of that subset, so the pick order — and with
+// it the schedule — matches a sub-problem solve over the same links.
+// The zero Selection lists every link, which is plain greedy.
+//
+// Greedy reads only candidates' loads (each one's own budget and the
+// active receivers'), so when the list is a strict subset the
+// accumulator updates just the listed receivers: a slot of a light
+// traffic run costs an O(n) selection scan plus sort and accumulation
+// over its m candidates.
 func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, tr *obs.Tracer, dst []int) Schedule {
 	n := pr.N()
 	// Pick order: descending rate, ties by ascending length, then by
-	// index (sort.Stable). Keys are negated so the shared ascending
-	// two-key sorter realizes the descending order. With weights the
-	// primary key is the weight and rate breaks ties.
+	// index (sort.Stable over an index-ordered list). Keys are negated
+	// so the shared ascending two-key sorter realizes the descending
+	// order. With weights the primary key is the weight and rate
+	// breaks ties.
 	sp := tr.StartPhase("sort")
-	ps := scr.pickSorterBufs(n, true)
+	cands := intsIn(&scr.cands, n)[:0]
+	for i := 0; i < n; i++ {
+		if sel.admits(i) {
+			cands = append(cands, i)
+		}
+	}
+	scr.cands = cands
+	ps := scr.pickSorterBufs(len(cands), true)
+	copy(ps.order, cands)
 	if sel.Weights == nil {
-		for i := 0; i < n; i++ {
-			ps.k1[i] = -pr.Links.Rate(i)
-			ps.k2[i] = pr.Links.Length(i)
+		for k, i := range cands {
+			ps.k1[k] = -pr.Links.Rate(i)
+			ps.k2[k] = pr.Links.Length(i)
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			ps.k1[i] = -sel.Weights[i]
-			ps.k2[i] = -pr.Links.Rate(i)
+		for k, i := range cands {
+			ps.k1[k] = -sel.Weights[i]
+			ps.k2[k] = -pr.Links.Rate(i)
 		}
 	}
 	sort.Stable(ps)
@@ -105,12 +121,12 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, tr 
 	// set. Greedy needs no headroom slack — it checks the exact budget.
 	sp = tr.StartPhase("insert")
 	acc := scr.noiseAccum(pr)
+	if len(cands) < n {
+		acc.only = cands
+	}
 	active := scr.activeBuf(n)
 	rejected := 0
 	for _, i := range ps.order {
-		if !sel.admits(i) {
-			continue
-		}
 		// Candidate's own budget with the current set (Informed applies
 		// the same rounding slack as the Verify cross-check).
 		if !pr.Params.Informed(acc.Load(i)) {

@@ -210,7 +210,7 @@ func TestPreparedRebindRefreshesCaches(t *testing.T) {
 }
 
 // TestPreparedSolveZeroAllocs is the tentpole's allocation gate: once
-// warm, the greedy/RLE/elimination solve path through ScheduleInto
+// warm, the greedy/RLE/elimination/DLS solve path through ScheduleInto
 // (scratch from the pool, result into a recycled buffer) performs zero
 // heap allocations per solve.
 func TestPreparedSolveZeroAllocs(t *testing.T) {
@@ -223,7 +223,7 @@ func TestPreparedSolveZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, a := range []Algorithm{Greedy{}, RLE{}, ApproxDiversity{}} {
+	for _, a := range []Algorithm{Greedy{}, RLE{}, ApproxDiversity{}, DLS{Seed: 7}} {
 		a := a
 		// Warm: grow every scratch buffer and populate the shared caches.
 		s, err := prep.ScheduleInto(ctx, a, nil)
@@ -264,11 +264,18 @@ func TestPreparedSolveZeroAllocs(t *testing.T) {
 }
 
 func scheduleScratchFor(t *testing.T, a Algorithm, prep *Prepared, scr *Scratch, dst []int) Schedule {
-	impl, ok := a.(scratchAlgorithm)
-	if !ok {
-		t.Fatalf("%s is not scratch-capable", a.Name())
+	switch impl := a.(type) {
+	case scratchAlgorithm:
+		return impl.scheduleScratch(prep.Problem(), scr, nil, dst)
+	case scratchContextAlgorithm:
+		s, err := impl.scheduleScratchContext(context.Background(), prep.Problem(), scr, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	return impl.scheduleScratch(prep.Problem(), scr, nil, dst)
+	t.Fatalf("%s is not scratch-capable", a.Name())
+	return Schedule{}
 }
 
 // TestScheduleIntoBuffer checks the dst contract: the active set lands

@@ -26,6 +26,7 @@ type Scratch struct {
 	pp *Prepared
 
 	sorter  pickSorter
+	cands   []int // a selection-restricted greedy's candidates, index order
 	active  []int
 	alive   []bool
 	usable  []bool

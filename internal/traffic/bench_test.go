@@ -2,8 +2,13 @@ package traffic
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/network"
+	"repro/internal/radio"
+	"repro/internal/sched"
 )
 
 // BenchmarkEngineStep measures one steady-state slot at n=1000 with
@@ -51,6 +56,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		slots = 250
 	)
 	pp := paperPrepared(b, n, 51)
+	var cands int64
 	run := func(seed uint64) int64 {
 		eng, err := New(pp, Config{
 			Slots:    slots,
@@ -66,11 +72,13 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		if res.Arrived < 1_000_000 {
 			b.Fatalf("simulated only %d packets, want ≥ 1M", res.Arrived)
 		}
+		cands += eng.candidates
 		return res.Arrived
 	}
 	start := time.Now()
 	run(0)
 	warmup := time.Since(start)
+	cands = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	var packets int64
@@ -81,4 +89,54 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "packets/sec")
 	b.ReportMetric(float64(packets)/float64(b.N), "packets/op")
 	b.ReportMetric(float64(warmup.Microseconds())/1e3, "warmup-ms")
+	b.ReportMetric(float64(cands)/float64(b.N*slots*n), "selected-frac")
+}
+
+// BenchmarkEngineLight is the load benchmark's traffic shape: n=2000
+// links at the paper's density (300 per 500×500), max-weight over
+// Bernoulli(0.01) arrivals with unbounded queues, 200-slot runs. Only
+// about 1% of the links hold packets in a slot, so the per-slot solve
+// cost tracks that backlog, not n. Like BenchmarkEngineThroughput it
+// runs one untimed warm-up (the dense rows the solves read get filled
+// there) and reports its wall time as warmup-ms; selected-frac is the
+// share of links the policy selected per slot.
+func BenchmarkEngineLight(b *testing.B) {
+	const (
+		n     = 2000
+		slots = 200
+	)
+	cfg := network.PaperConfig(n)
+	cfg.Region = 500 * math.Sqrt(n/300.0)
+	ls, err := network.Generate(cfg, 51, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pp, err := sched.Prepare(ls, radio.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cands int64
+	run := func(seed uint64) {
+		eng, err := New(pp, Config{Slots: slots, Arrivals: Bernoulli{P: 0.01}, Policy: PolicyMaxWeight, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := eng.Run(context.Background()); res.Delivered == 0 {
+			b.Fatal("nothing delivered")
+		}
+		cands += eng.candidates
+	}
+	start := time.Now()
+	run(0)
+	warmup := time.Since(start)
+	cands = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i + 1))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*slots)/b.Elapsed().Seconds(), "slots/sec")
+	b.ReportMetric(float64(warmup.Microseconds())/1e3, "warmup-ms")
+	b.ReportMetric(float64(cands)/float64(b.N*slots*n), "selected-frac")
 }

@@ -52,6 +52,13 @@ type Engine struct {
 	res  Result
 	m    *engineMetrics
 
+	// solve is the per-slot selection solve, prep.ScheduleWeightedInto;
+	// the differential tests swap in a reference implementation.
+	solve func(context.Context, sched.Selection, []int) (sched.Schedule, error)
+	// candidates sums the links each slot's selection admitted — the m
+	// a selection-restricted solve's cost scales with.
+	candidates int64
+
 	// runSpan is the trace span covering the whole run; Step hangs one
 	// bounded per-slot child off it (the trace arena caps how many
 	// stick, so a million-slot run records its opening slots and then
@@ -95,6 +102,7 @@ func New(prep *sched.Prepared, cfg Config) (*Engine, error) {
 		driftBuf: make([]int64, cfg.driftWindow()+1),
 		traj:     make([]TrajectoryPoint, 0, cfg.trajectoryPoints()),
 		stride:   1,
+		solve:    prep.ScheduleWeightedInto,
 	}
 	// The arrival and channel stream labels predate the package: they
 	// keep engine runs seed-compatible with historical simnet results.
@@ -167,7 +175,7 @@ func (e *Engine) Step(ctx context.Context) error {
 	delivered, scheduled := int64(0), 0
 	if e.backlog > 0 {
 		sel := e.selection()
-		s, err := e.prep.ScheduleWeightedInto(ctx, sel, e.active)
+		s, err := e.solve(ctx, sel, e.active)
 		if err != nil {
 			ssp.End()
 			return err
@@ -220,26 +228,29 @@ func (e *Engine) Step(ctx context.Context) error {
 }
 
 // selection fills the engine's mask/weight buffers for the configured
-// policy. Weights of 0 exclude idle links, so every policy is
-// backlog-restricted.
+// policy and adds the links it selects — the backlogged ones, since
+// link rates are positive — to e.candidates. Weights of 0 exclude idle
+// links, so every policy is backlog-restricted.
 func (e *Engine) selection() sched.Selection {
-	switch e.cfg.policy() {
-	case PolicyMaxQueue:
-		for i := range e.weights {
-			e.weights[i] = float64(e.queues[i].len())
+	pol := e.cfg.policy()
+	for i := range e.queues {
+		q := e.queues[i].len()
+		if q > 0 {
+			e.candidates++
 		}
-		return sched.Selection{Weights: e.weights}
-	case PolicyMaxWeight:
-		for i := range e.weights {
-			e.weights[i] = float64(e.queues[i].len()) * e.pr.Links.Rate(i)
+		switch pol {
+		case PolicyMaxQueue:
+			e.weights[i] = float64(q)
+		case PolicyMaxWeight:
+			e.weights[i] = float64(q) * e.pr.Links.Rate(i)
+		default: // PolicyBacklog
+			e.mask[i] = q > 0
 		}
-		return sched.Selection{Weights: e.weights}
-	default: // PolicyBacklog
-		for i := range e.mask {
-			e.mask[i] = e.queues[i].len() > 0
-		}
+	}
+	if pol == PolicyBacklog {
 		return sched.Selection{Mask: e.mask}
 	}
+	return sched.Selection{Weights: e.weights}
 }
 
 // transmit draws one fading realization shared by the slot and fills
@@ -313,6 +324,7 @@ func (e *Engine) drift() float64 {
 func (e *Engine) finish(truncated bool) Result {
 	if e.runSpan.Enabled() {
 		e.runSpan.SetInt("delivered", e.res.Delivered)
+		e.runSpan.SetInt("candidates", e.candidates)
 		e.runSpan.End()
 	}
 	res := e.res

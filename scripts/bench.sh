@@ -7,8 +7,10 @@
 # span-overhead gate, and BenchmarkSpanLifecycle documents the
 # 0 allocs/op warm span path), the schedd end-to-end paths (cold /
 # prepared-field / response-cache-warm / batch), the traffic engine
-# (per-slot cost plus the ≥1M-packet n=5000 throughput run with its
-# packets/sec metric), the streaming-session event loop at n=2000, and
+# (per-slot cost, the ≥1M-packet n=5000 throughput run with its
+# packets/sec metric, and the light n=2000 max-weight run the load
+# benchmark's traffic has), the DLS solve on a quadrant-listed n=2000
+# set, the streaming-session event loop at n=2000, and
 # the tile-sharded scale records: sharded-vs-unsharded greedy at
 # n=5000/20000 plus the n=100000 sparse build + sharded solve.
 #
@@ -80,7 +82,8 @@ quick)
     run . 'BenchmarkSolveColdBuild$|BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$'
     run . 'BenchmarkShardedVsGreedy$'
     run ./internal/server/ 'BenchmarkSolveBatch$|BenchmarkSessionEvents$'
-    run ./internal/traffic/ 'BenchmarkEngineStep$'
+    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineLight$'
+    run ./internal/sched/ 'BenchmarkDLS$'
     run ./internal/obs/ 'BenchmarkSpanLifecycle$'
     ;;
 gate)
@@ -104,7 +107,8 @@ gate)
     # low_iter flag keeps benchcmp advisory on it.
     run . 'BenchmarkSharded100k$' 1x
     run ./internal/server/ 'BenchmarkSolveColdVsWarm$|BenchmarkSolveBatch$|BenchmarkSessionEvents$'
-    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$'
+    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$'
+    run ./internal/sched/ 'BenchmarkDLS$'
     # The span-tracing overhead record: the warm span lifecycle must
     # stay 0 allocs/op, the inert path near-free.
     run ./internal/obs/ 'BenchmarkSpanLifecycle$|BenchmarkSpanInert$'

@@ -39,9 +39,10 @@ echo "== obs overhead gate"
 go test -run TestTracerDisabledAllocs -bench BenchmarkTracerDisabled -benchtime 1000x -count=1 ./internal/obs
 
 echo "== prepared zero-alloc gate"
-# The steady-state 0 allocs/op contract on greedy/RLE/diversity solves
-# through a Prepared handle. Skipped automatically under -race (the
-# detector instruments allocations), so this is the run that counts.
+# The steady-state 0 allocs/op contract on greedy/RLE/diversity/DLS
+# solves through a Prepared handle. Skipped automatically under -race
+# (the detector instruments allocations), so this is the run that
+# counts.
 go test -run 'TestPreparedSolveZeroAllocs|TestPreparedConcurrent' -count=1 ./internal/sched/
 
 echo "== session stream gate"
@@ -59,10 +60,23 @@ echo "== traffic engine race pass"
 go test -race -short -count=1 ./internal/traffic/
 
 echo "== traffic zero-alloc gate"
-# The steady-state 0 allocs/op contract on the n=1000 slot loop.
-# Skipped automatically under -race, so this non-race run is the one
-# that counts.
+# The steady-state 0 allocs/op contract on the n=1000 slot loop, in a
+# saturated shape (bounded queues at their caps) and a light one
+# (Bernoulli 0.01, maxweight, unbounded queues). Skipped automatically
+# under -race, so this non-race run is the one that counts.
 go test -run TestEngineSlotZeroAllocs -count=1 ./internal/traffic/
+
+echo "== backlog-sized slot and ranked election differential gate"
+# Under -race, uncached: traffic runs whose per-slot greedy lists only
+# the selected links against a copy of the full-scan loop (every
+# policy, Bernoulli 0.01/0.05/1, three seeds, a dense quadrant-listed
+# and a sparse scale-class set; Results deeply equal), and DLS's
+# rank-ordered leader election against a copy of the all-pairs one
+# (quadrant-listed and uniform n=2000 sets, four ε, three seeds, plus
+# a 0.5-length link that forces priority ties; schedules and round
+# counters equal).
+go test -race -run 'TestWeightedSelectionMatchesFullScan|TestTrafficRunSpanCountsCandidates' -count=1 ./internal/traffic/
+go test -race -run 'TestDLSElectionMatchesAllPairs' -count=1 ./internal/sched/
 
 echo "== kernel differential gate"
 # The field-build kernels against their references, uncached: the
