@@ -359,11 +359,12 @@ func BenchmarkSolveWarmPrepared(b *testing.B) {
 
 // BenchmarkSolveWarmTraced is BenchmarkSolveWarmPrepared under the full
 // per-request tracing harness schedd runs: every iteration takes a
-// pooled trace from obs, opens the solve span with an attached phase
-// tracer, solves, finishes the trace, and offers it to a flight
-// recorder (which samples a few and recycles the rest). The ns/op
-// delta against BenchmarkSolveWarmPrepared is the span-overhead
-// acceptance gate: ≤5% at n=2000.
+// pooled request trace from obs, opens the solve span, solves in the
+// solve's own pooled trace (obs.TraceSolve: stats folded, phase spans
+// copied under the solve span), finishes the request trace, and offers
+// it to a flight recorder (which samples a few and recycles the rest).
+// The ns/op delta against BenchmarkSolveWarmPrepared is the
+// span-overhead acceptance gate: ≤5% at n=2000.
 func BenchmarkSolveWarmTraced(b *testing.B) {
 	b.ReportAllocs()
 	ls := benchLinks(b, 2000)
@@ -379,10 +380,12 @@ func BenchmarkSolveWarmTraced(b *testing.B) {
 		trace := obs.NewTrace("beefbeefbeefbeef", "POST /v1/solve")
 		ctx := obs.ContextWithSpan(context.Background(), trace.Root())
 		solveSp := obs.SpanFrom(ctx).Child("solve")
-		solveSp.SetInt("links", int64(ls.Len()))
-		tr := obs.NewTracer().AttachSpan(solveSp)
-		sctx := obs.WithTracer(obs.ContextWithSpan(ctx, solveSp), tr)
-		s, err := prep.ScheduleInto(sctx, fadingrls.RLE{}, buf)
+		var s fadingrls.Schedule
+		_, err := obs.TraceSolve(ctx, solveSp, func(ctx context.Context, _ *obs.Trace) error {
+			var err error
+			s, err = prep.ScheduleInto(ctx, fadingrls.RLE{}, buf)
+			return err
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

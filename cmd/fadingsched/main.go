@@ -149,21 +149,17 @@ func run(args []string, out io.Writer) error {
 			continue
 		}
 		solveSp := obs.SpanFrom(runCtx).Child("solve")
-		if solveSp.Enabled() {
-			solveSp.SetStr("algorithm", name)
-			solveSp.SetInt("links", int64(ls.Len()))
-		}
-		var tr *obs.Tracer
-		ctx := runCtx
-		if *trace || solveSp.Enabled() {
-			// The tracer feeds -trace's printed phase table and, attached
-			// to the span, mirrors each phase into the -trace-out file.
-			tr = obs.NewTracer().AttachSpan(solveSp)
-			ctx = obs.WithTracer(ctx, tr)
-		}
 		logger.Info("solve start", slog.String("algorithm", name), slog.Int("links", ls.Len()))
 		solveStart := time.Now()
-		s, err := fadingrls.SolveContext(ctx, name, pr)
+		var s fadingrls.Schedule
+		var stats *fadingrls.SolveStats
+		if *trace || solveSp.Enabled() {
+			// The solve's stats feed -trace's printed phase table, and its
+			// phase spans land under solveSp in the -trace-out file.
+			s, stats, err = fadingrls.SolveTraced(obs.ContextWithSpan(runCtx, solveSp), name, pr)
+		} else {
+			s, err = fadingrls.SolveContext(runCtx, name, pr)
+		}
 		solveSp.End()
 		if err != nil {
 			return err
@@ -182,7 +178,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%-16s   violation: %v\n", "", v)
 		}
 		if *trace {
-			printTrace(out, tr.Stats())
+			printTrace(out, stats)
 		}
 		if *slots > 0 {
 			mcSp := obs.SpanFrom(runCtx).Child("mc_simulate")

@@ -230,8 +230,10 @@ func TestMetricsSmoke(t *testing.T) {
 // TestTraceSmoke is the `make trace-smoke` gate: boot schedd, drive a
 // traced n=2000 solve plus one streaming-session event, then read the
 // flight recorder back — /debug/requests must list both traces with
-// their field-build, solver, and session-event spans, and the per-trace
-// endpoint must export nested Chrome trace_event JSON.
+// their field-build, solver, and session-event spans (each solve's
+// phases nested under its solve span, carrying the solver's counters),
+// and the per-trace endpoint must export nested Chrome trace_event
+// JSON.
 func TestTraceSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -352,9 +354,12 @@ func TestTraceSmoke(t *testing.T) {
 		} `json:"recorder"`
 		Recent []struct {
 			TraceID string `json:"trace_id"`
+			Name    string `json:"name"`
 			Spans   []struct {
-				Name  string         `json:"name"`
-				Attrs map[string]any `json:"attrs"`
+				ID     int32          `json:"id"`
+				Parent int32          `json:"parent"`
+				Name   string         `json:"name"`
+				Attrs  map[string]any `json:"attrs"`
 			} `json:"spans"`
 		} `json:"recent"`
 	}
@@ -408,6 +413,53 @@ func TestTraceSmoke(t *testing.T) {
 	}
 	if !sessionTraced {
 		t.Errorf("no retained trace carries a session_event span; have %v", names)
+	}
+
+	// Solver phases sit under their solve span and carry the solver's
+	// counters: RLE's sort and eliminate in the solve trace, greedy's
+	// sort and insert in the session-event trace.
+	checked := 0
+	for _, tr := range dbg.Recent {
+		var wantPhases []string
+		var wantCounters []string
+		switch {
+		case tr.TraceID == solveTrace:
+			wantPhases, wantCounters = []string{"sort", "eliminate"}, []string{"picks", "rule1_eliminated", "rule2_eliminated"}
+		case strings.HasSuffix(tr.Name, "/events"):
+			wantPhases, wantCounters = []string{"sort", "insert"}, []string{"admitted", "rejected"}
+		default:
+			continue
+		}
+		checked++
+		solveIDs := map[int32]bool{}
+		for _, sp := range tr.Spans {
+			if sp.Name == "solve" {
+				solveIDs[sp.ID] = true
+			}
+		}
+		counters := map[string]bool{}
+		for _, want := range wantPhases {
+			found := false
+			for _, sp := range tr.Spans {
+				if sp.Name == want && solveIDs[sp.Parent] {
+					found = true
+					for k := range sp.Attrs {
+						counters[k] = true
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s trace: no %q span under a solve span", tr.Name, want)
+			}
+		}
+		for _, k := range wantCounters {
+			if !counters[k] {
+				t.Errorf("%s trace: solver phases carry no %q counter (have %v)", tr.Name, k, counters)
+			}
+		}
+	}
+	if checked != 2 {
+		t.Errorf("found %d of the solve and session-event traces, want 2", checked)
 	}
 
 	// The per-trace export is Chrome trace_event JSON with the nested

@@ -67,8 +67,9 @@ type (
 	Schedule = sched.Schedule
 	// Algorithm is any Fading-R-LS scheduler.
 	Algorithm = sched.Algorithm
-	// ContextAlgorithm is an Algorithm whose solve honors context
-	// cancellation (Exact, DLS) — what schedd aborts on deadline.
+	// ContextAlgorithm is the interface an Algorithm defined outside
+	// this module implements to honor context cancellation mid-solve
+	// (the built-in Exact and DLS do so through SolveContext).
 	ContextAlgorithm = sched.ContextAlgorithm
 	// Violation reports one receiver over its feasibility budget.
 	Violation = sched.Violation
@@ -135,25 +136,12 @@ type (
 
 // Observability.
 type (
-	// Tracer collects one solve's phase timings and algorithm counters;
-	// install with WithTracer and hand the context to SolveContext. A
-	// nil *Tracer is the disabled state — every method no-ops.
-	Tracer = obs.Tracer
-	// SolveStats is a Tracer snapshot: phases in execution order plus
-	// counters (see obs.Key* for the vocabulary).
+	// SolveStats is one solve's summary from SolveTraced: phases in
+	// execution order plus counters (see obs.Key* for the vocabulary).
 	SolveStats = obs.SolveStats
 	// PhaseStat is one solver phase's accumulated wall time.
 	PhaseStat = obs.PhaseStat
 )
-
-// NewTracer returns an enabled solve tracer.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// WithTracer returns a context carrying tr; SolveContext routes it into
-// the algorithm.
-func WithTracer(ctx context.Context, tr *Tracer) context.Context {
-	return obs.WithTracer(ctx, tr)
-}
 
 // DefaultParams returns the paper's evaluation parameters
 // (α = 3, γ_th = 1, ε = 0.01, P = 1, zero noise).
@@ -292,4 +280,17 @@ func Solve(name string, pr *Problem) (Schedule, error) {
 // services (cmd/schedd) use to honor request deadlines.
 func SolveContext(ctx context.Context, name string, pr *Problem) (Schedule, error) {
 	return sched.SolveContext(ctx, name, pr)
+}
+
+// SolveTraced is SolveContext that also returns the solve's phase
+// timings and counters. When ctx carries a span trace
+// (obs.ContextWithSpan), the solve's phase spans are recorded under it.
+func SolveTraced(ctx context.Context, name string, pr *Problem) (Schedule, *SolveStats, error) {
+	var s Schedule
+	st, err := obs.TraceSolve(ctx, obs.SpanFrom(ctx), func(ctx context.Context, _ *obs.Trace) error {
+		var err error
+		s, err = sched.SolveContext(ctx, name, pr)
+		return err
+	})
+	return s, st, err
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,9 +16,10 @@ import (
 const DefaultMaxSpans = 256
 
 // maxSpanAttrs is the inline attribute capacity per span. Setters past
-// the cap are dropped silently; four covers every call site in the
-// repo and keeps the record fixed-size (no per-attr allocation).
-const maxSpanAttrs = 4
+// the cap are dropped silently; six covers every call site in the repo
+// (DLS's rounds phase carries five counters, a schedd solve span six
+// attributes) and keeps the record fixed-size (no per-attr allocation).
+const maxSpanAttrs = 6
 
 // AttrKind discriminates the typed attribute slots.
 type AttrKind uint8
@@ -27,23 +29,24 @@ const (
 	attrInt
 	attrFloat
 	attrStr
+	attrCount // accumulating counter (Span.Add), folded into SolveStats
 )
 
 // attr is one typed key/value pair stored inline in a span record.
+// Integers and counters keep their value in n, floats their bits.
 type attr struct {
 	key  string
-	kind AttrKind
-	i    int64
-	f    float64
 	s    string
+	n    int64
+	kind AttrKind
 }
 
 func (a attr) value() any {
 	switch a.kind {
-	case attrInt:
-		return a.i
+	case attrInt, attrCount:
+		return a.n
 	case attrFloat:
-		return a.f
+		return math.Float64frombits(uint64(a.n))
 	case attrStr:
 		return a.s
 	}
@@ -298,13 +301,84 @@ func (s Span) setAttr(a attr) {
 }
 
 // SetInt attaches an integer attribute (at most maxSpanAttrs stick).
-func (s Span) SetInt(key string, v int64) { s.setAttr(attr{key: key, kind: attrInt, i: v}) }
+func (s Span) SetInt(key string, v int64) { s.setAttr(attr{key: key, kind: attrInt, n: v}) }
 
 // SetFloat attaches a float attribute.
-func (s Span) SetFloat(key string, v float64) { s.setAttr(attr{key: key, kind: attrFloat, f: v}) }
+func (s Span) SetFloat(key string, v float64) {
+	s.setAttr(attr{key: key, kind: attrFloat, n: int64(math.Float64bits(v))})
+}
 
 // SetStr attaches a string attribute.
 func (s Span) SetStr(key, v string) { s.setAttr(attr{key: key, kind: attrStr, s: v}) }
+
+// Add adds n to the span's counter key, creating it on first use (at
+// n, so a counter that stays 0 is still reported). Counters are the
+// attributes SolveStats folds: solvers report through them, and
+// concurrent workers may add to the same span.
+func (s Span) Add(key string, n int64) {
+	if s.tr == nil {
+		return
+	}
+	t := s.tr
+	t.mu.Lock()
+	rec := &t.spans[s.id-1]
+	for i := range rec.attrs[:rec.nattrs] {
+		if a := &rec.attrs[i]; a.kind == attrCount && a.key == key {
+			a.n += n
+			t.mu.Unlock()
+			return
+		}
+	}
+	if int(rec.nattrs) < maxSpanAttrs {
+		rec.attrs[rec.nattrs] = attr{key: key, kind: attrCount, n: n}
+		rec.nattrs++
+	}
+	t.mu.Unlock()
+}
+
+// graft copies src's spans under s: src's root attributes onto s
+// itself, every other span as a descendant of s with its start moved
+// onto s's trace clock. Spans past the destination arena's capacity
+// are dropped and counted, as Child drops them. Parents precede
+// children in an arena and a full arena stays full, so every copied
+// span's parent was copied too and ids shift by one constant.
+func (s Span) graft(src *Trace) {
+	if s.tr == nil {
+		return
+	}
+	dst := s.tr
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	rec := &dst.spans[s.id-1]
+	root := &src.spans[0]
+	for _, a := range root.attrs[:root.nattrs] {
+		if int(rec.nattrs) < maxSpanAttrs {
+			rec.attrs[rec.nattrs] = a
+			rec.nattrs++
+		}
+	}
+	shift := src.begun.Sub(dst.begun)
+	base := SpanID(len(dst.spans)) - 1 // src span k ≥ 2 becomes base+k
+	for i := 1; i < len(src.spans); i++ {
+		if dst.done || len(dst.spans) == cap(dst.spans) {
+			if !dst.done {
+				dst.full.Store(true)
+			}
+			dst.dropped.Add(int64(len(src.spans) - i))
+			return
+		}
+		r := src.spans[i]
+		if r.parent == 1 {
+			r.parent = s.id
+		} else {
+			r.parent += base
+		}
+		r.start += shift
+		dst.spans = append(dst.spans, r)
+	}
+}
 
 type spanCtxKey struct{}
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSpanTree(t *testing.T) {
@@ -61,6 +60,7 @@ func TestSpanInert(t *testing.T) {
 	c.SetInt("k", 1)
 	c.SetFloat("k", 1)
 	c.SetStr("k", "v")
+	c.Add(KeyAdmitted, 1)
 	c.End()
 	if c.Enabled() {
 		t.Fatal("child of inert span enabled")
@@ -112,8 +112,10 @@ func TestSpanArenaOverflow(t *testing.T) {
 }
 
 // TestSpanZeroAlloc is the zero-alloc gate for the span lifecycle on
-// the warm solve path: child creation, typed attributes, and End must
-// not allocate while the arena has room (scripts/check.sh runs this).
+// the warm solve path: child creation, typed attributes, counters, and
+// End must not allocate while the arena has room, and the inert span
+// every untraced solve runs against must not allocate at all
+// (scripts/check.sh runs this as the obs overhead gate).
 func TestSpanZeroAlloc(t *testing.T) {
 	tr := NewTraceCap("abcdabcdabcdabcd", "warm", 1<<13)
 	root := tr.Root()
@@ -121,6 +123,8 @@ func TestSpanZeroAlloc(t *testing.T) {
 		sp := root.Child("solve")
 		sp.SetInt("links", 2000)
 		sp.SetStr("algorithm", "rle")
+		sp.Add(KeyAdmitted, 1)
+		sp.Add(KeyAdmitted, 2)
 		sp.End()
 	})
 	if allocs != 0 {
@@ -131,53 +135,11 @@ func TestSpanZeroAlloc(t *testing.T) {
 	allocs = testing.AllocsPerRun(1000, func() {
 		sp := inert.Child("solve")
 		sp.SetInt("links", 2000)
+		sp.Add(KeyAdmitted, 1)
 		sp.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("inert span lifecycle allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestTracerPhaseSpans checks that a Tracer with an attached span
-// mirrors each phase into the trace tree while keeping the flat
-// per-phase totals intact.
-func TestTracerPhaseSpans(t *testing.T) {
-	trace := NewTraceCap("1234123412341234", "solve", 32)
-	solve := trace.Root().Child("solve")
-	tr := NewTracer().AttachSpan(solve)
-	tr.SetAlgorithm("rle")
-	p := tr.StartPhase("sort")
-	time.Sleep(time.Millisecond)
-	p.End()
-	p = tr.StartPhase("eliminate")
-	p.End()
-	solve.End()
-	trace.Finish(200)
-
-	st := tr.Stats()
-	if len(st.Phases) != 2 || st.Phases[0].Name != "sort" {
-		t.Fatalf("flat phases broken: %+v", st.Phases)
-	}
-	s := trace.Snapshot()
-	var solveID int32
-	names := map[string]int32{}
-	for _, sp := range s.Spans {
-		names[sp.Name] = sp.Parent
-		if sp.Name == "solve" {
-			solveID = sp.ID
-		}
-	}
-	if names["sort"] != solveID || names["eliminate"] != solveID {
-		t.Fatalf("phase spans not nested under solve: %+v", s.Spans)
-	}
-	var solveSnap SpanSnapshot
-	for _, sp := range s.Spans {
-		if sp.Name == "solve" {
-			solveSnap = sp
-		}
-	}
-	if solveSnap.Attrs["algorithm"] != "rle" {
-		t.Fatalf("SetAlgorithm did not annotate the span: %+v", solveSnap.Attrs)
 	}
 }
 
@@ -257,12 +219,15 @@ func BenchmarkSpanLifecycle(b *testing.B) {
 	}
 }
 
+// BenchmarkSpanInert measures what an untraced solve pays per phase:
+// a nil check per call, no clock reads, 0 allocs/op.
 func BenchmarkSpanInert(b *testing.B) {
 	b.ReportAllocs()
 	var root Span
 	for i := 0; i < b.N; i++ {
 		sp := root.Child("solve")
 		sp.SetInt("links", 2000)
+		sp.Add(KeyAdmitted, 1)
 		sp.End()
 	}
 }

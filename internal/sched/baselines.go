@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/obs"
@@ -19,18 +20,19 @@ type ApproxLogN struct{}
 func (ApproxLogN) Name() string { return "approxlogn" }
 
 // Schedule implements Algorithm.
-func (a ApproxLogN) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
+func (a ApproxLogN) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
-// ScheduleTraced implements TracedAlgorithm via the shared
-// diversity-partition core (same phases and counters as LDP).
-func (ApproxLogN) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	sp := tr.StartPhase("classes")
+// solve implements solver via the shared diversity-partition core
+// (same phases and counters as LDP).
+func (a ApproxLogN) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (Schedule, error) {
+	sp := obs.SpanFrom(ctx)
+	ph := sp.Child("classes")
 	budget, spread, usable := pr.detHeadroom()
 	classes := filterClasses(pr.Links.BandedLengthClasses(), usable)
 	beta := detBetaFor(pr.Params, budget, spread)
-	sp.End()
-	best := gridPartitionBest(pr, classes, beta, tr)
-	return NewSchedule("approxlogn", best)
+	ph.End()
+	best := gridPartitionBest(pr, classes, beta, sp)
+	return finishSchedule(a.Name(), best, dst), nil
 }
 
 // ApproxDiversity is the deterministic-SINR shortest-link-first
@@ -52,17 +54,11 @@ func (a ApproxDiversity) Name() string {
 }
 
 // Schedule implements Algorithm.
-func (a ApproxDiversity) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
+func (a ApproxDiversity) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
-// ScheduleTraced implements TracedAlgorithm via the shared elimination
-// core (same phases and counters as RLE).
-func (a ApproxDiversity) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return a.scheduleScratch(pr, new(Scratch), tr, nil)
-}
-
-// scheduleScratch is the single implementation behind both entry
-// points (see Greedy.scheduleScratch).
-func (a ApproxDiversity) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
+// solve implements solver via the shared elimination core (same
+// phases and counters as RLE).
+func (a ApproxDiversity) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	c2 := a.C2
 	if c2 == 0 {
 		c2 = DefaultC2
@@ -73,8 +69,8 @@ func (a ApproxDiversity) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Trac
 		budget: c2 * budget, // c₂ share of the deterministic budget
 		accum:  scr.detAccumFor(pr),
 		usable: usable,
-	}, tr, scr)
-	return finishSchedule(a.Name(), active, dst)
+	}, obs.SpanFrom(ctx), scr)
+	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // detAccum adapts the deterministic-SINR relative gain to the

@@ -7,125 +7,96 @@ import (
 	"repro/internal/obs"
 )
 
-// ContextAlgorithm is implemented by algorithms whose search can be
-// aborted mid-solve. ScheduleContext returns ctx.Err() when the
-// context is canceled before the schedule is complete; the partial
-// work is discarded (schedules are all-or-nothing — a half-explored
-// branch-and-bound tree proves nothing about optimality, and a
-// half-run protocol round may be infeasible).
-//
-// The polynomial algorithms (LDP, RLE, the baselines, Greedy) finish
-// in milliseconds even at deployment scale and intentionally do not
-// implement this interface; only the solvers with unbounded or
-// round-structured running time (Exact, DLS) do. Context-aware
-// algorithms read their obs.Tracer from the context themselves.
+// ContextAlgorithm is the interface for algorithms defined outside
+// this package whose solve can be aborted mid-way. ScheduleContext
+// returns ctx.Err() when the context is canceled before the schedule
+// is complete; the partial work is discarded. The built-in algorithms
+// all implement the package's own solve contract instead (see solver).
 type ContextAlgorithm interface {
 	Algorithm
 	ScheduleContext(ctx context.Context, pr *Problem) (Schedule, error)
 }
 
-// TracedAlgorithm is implemented by the polynomial algorithms: they
-// cannot be aborted mid-solve (see ContextAlgorithm) but do report
-// per-phase wall times and counters to a tracer. ScheduleTraced with a
-// nil tracer must behave identically to Schedule — the nil path is the
-// production fast path and is benchmarked to zero overhead.
-type TracedAlgorithm interface {
+// solver is the one contract every built-in algorithm implements. solve
+// runs the algorithm on pr off the scr workspace and writes the active
+// set into dst[:0] (nil allocates). It observes ctx where the algorithm
+// has preemption points (Exact's search, DLS's round boundaries),
+// records its phases as child spans of obs.SpanFrom(ctx) and its
+// counters as Add attributes of those spans; on the inert span of an
+// untraced context all of that costs a nil check.
+type solver interface {
 	Algorithm
-	ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule
-}
-
-// ScheduleContext runs a on pr honoring ctx. Context-aware algorithms
-// abort mid-solve; for plain algorithms the context is checked before
-// the (fast, polynomial) solve starts and the result is discarded if
-// the context expired while it ran, so a caller never receives a
-// schedule after its deadline.
-//
-// When ctx carries an obs.Tracer (obs.WithTracer), the solve is
-// traced: the dispatcher records the algorithm name, instance size,
-// and field-backend stats, and the algorithm fills in its phases and
-// counters. Without a tracer every trace call is a nil-receiver no-op.
-func ScheduleContext(ctx context.Context, a Algorithm, pr *Problem) (Schedule, error) {
-	return scheduleWith(ctx, a, pr, nil, nil)
-}
-
-// scratchAlgorithm is implemented by the polynomial algorithms whose
-// inner loops run off a Scratch workspace (Greedy, RLE,
-// ApproxDiversity). dst receives the active set (append into dst[:0];
-// nil allocates fresh — the legacy behavior).
-type scratchAlgorithm interface {
-	Algorithm
-	scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule
-}
-
-// scratchContextAlgorithm is the context-aware counterpart (DLS).
-type scratchContextAlgorithm interface {
-	Algorithm
-	scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error)
+	solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error)
 }
 
 var (
-	_ scratchAlgorithm        = Greedy{}
-	_ scratchAlgorithm        = RLE{}
-	_ scratchAlgorithm        = ApproxDiversity{}
-	_ scratchAlgorithm        = Sharded{}
-	_ scratchContextAlgorithm = DLS{}
-	_ Shardable               = Sharded{}
+	_ solver    = Greedy{}
+	_ solver    = Sharded{}
+	_ solver    = RLE{}
+	_ solver    = ApproxDiversity{}
+	_ solver    = LDP{}
+	_ solver    = ApproxLogN{}
+	_ solver    = DLS{}
+	_ solver    = Exact{}
+	_ Shardable = Sharded{}
 )
 
-// scheduleWith is the shared dispatcher behind ScheduleContext and
-// Prepared: scratch-capable algorithms run off the supplied workspace
-// (or a fresh one when scr is nil, reproducing the legacy allocation
-// profile); everything else takes its historical path. Exactly one
-// implementation of each algorithm exists — the prepared and plain
-// entry points produce bit-identical schedules by construction.
+// ScheduleContext runs a on pr honoring ctx, on a fresh Scratch. The
+// context is checked before the solve starts and again when it ends,
+// so a caller never receives a schedule after its deadline; Exact and
+// DLS also abort mid-solve. When ctx carries a span (obs.ContextWithSpan)
+// the solve records into it: the algorithm name, the instance size and
+// schedule size, the sparse field's stored pairs, and the algorithm's
+// phases and counters.
+func ScheduleContext(ctx context.Context, a Algorithm, pr *Problem) (Schedule, error) {
+	return scheduleWith(ctx, a, pr, new(Scratch), nil)
+}
+
+// scheduleWith is the one dispatcher behind ScheduleContext and
+// Prepared: built-in algorithms run their solve off scr, algorithms
+// from other packages fall back to ContextAlgorithm, then to
+// Algorithm.Schedule.
 func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
 	}
-	tr := obs.TracerFrom(ctx)
-	if tr != nil {
-		tr.SetAlgorithm(a.Name())
-		tr.Count(obs.KeyLinks, int64(pr.N()))
-		if sp, ok := pr.field.(*SparseField); ok {
-			tr.Count(obs.KeyFieldPairs, int64(sp.StoredPairs()))
+	sp := obs.SpanFrom(ctx)
+	if sp.Enabled() {
+		sp.SetStr(obs.KeyAlgorithm, a.Name())
+		sp.Add(obs.KeyLinks, int64(pr.N()))
+		if f, ok := pr.field.(*SparseField); ok {
+			sp.Add(obs.KeyFieldPairs, int64(f.StoredPairs()))
 		}
 	}
 	var s Schedule
+	var err error
 	switch impl := a.(type) {
-	case scratchContextAlgorithm:
-		if scr == nil {
-			scr = new(Scratch)
-		}
-		var err error
-		if s, err = impl.scheduleScratchContext(ctx, pr, scr, dst); err != nil {
-			return Schedule{}, err
-		}
-	case scratchAlgorithm:
-		if scr == nil {
-			scr = new(Scratch)
-		}
-		s = impl.scheduleScratch(pr, scr, tr, dst)
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
-		}
+	case solver:
+		s, err = impl.solve(ctx, pr, scr, dst)
 	case ContextAlgorithm:
-		var err error
-		if s, err = impl.ScheduleContext(ctx, pr); err != nil {
-			return Schedule{}, err
-		}
-	case TracedAlgorithm:
-		s = impl.ScheduleTraced(pr, tr)
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
-		}
+		s, err = impl.ScheduleContext(ctx, pr)
 	default:
 		s = a.Schedule(pr)
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
-		}
 	}
-	tr.Count(obs.KeyScheduled, int64(s.Len()))
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return Schedule{}, err
+	}
+	sp.Add(obs.KeyScheduled, int64(s.Len()))
 	return s, nil
+}
+
+// schedule is every built-in's Algorithm.Schedule: solve on a fresh
+// Scratch under a background context, which never cancels, so the only
+// failure left is a refusal (Exact over MaxN), which panics.
+func schedule(a solver, pr *Problem) Schedule {
+	s, err := a.solve(context.Background(), pr, new(Scratch), nil)
+	if err != nil {
+		panic("sched: " + a.Name() + " solve failed: " + err.Error())
+	}
+	return s
 }
 
 // SolveContext looks up a registered algorithm by name and runs it

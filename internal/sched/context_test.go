@@ -33,7 +33,7 @@ func TestExactAbortsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	s, err := Exact{MaxN: 64}.ScheduleContext(ctx, pr)
+	s, err := ScheduleContext(ctx, Exact{MaxN: 64}, pr)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -57,7 +57,7 @@ func TestExactContextCompletesAndMatches(t *testing.T) {
 	}
 	pr := MustNewProblem(ls, radio.DefaultParams())
 	plain := Exact{}.Schedule(pr)
-	withCtx, err := Exact{}.ScheduleContext(context.Background(), pr)
+	withCtx, err := ScheduleContext(context.Background(), Exact{}, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,8 @@ func TestExactContextCompletesAndMatches(t *testing.T) {
 }
 
 // TestDLSAbortsBetweenRounds: a pre-canceled context stops the
-// protocol at the first round boundary.
+// protocol at the first round boundary. It calls solve directly: the
+// dispatcher would refuse the dead context before DLS ever saw it.
 func TestDLSAbortsBetweenRounds(t *testing.T) {
 	ls, err := network.Generate(network.PaperConfig(50), 4, 0)
 	if err != nil {
@@ -76,7 +77,7 @@ func TestDLSAbortsBetweenRounds(t *testing.T) {
 	pr := MustNewProblem(ls, radio.DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := DLS{Seed: 1}.ScheduleContext(ctx, pr)
+	s, err := DLS{Seed: 1}.solve(ctx, pr, new(Scratch), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -85,8 +86,9 @@ func TestDLSAbortsBetweenRounds(t *testing.T) {
 	}
 }
 
-// TestScheduleContextPlainAlgorithms: the helper must run non-context
-// algorithms unchanged under a live context and refuse a dead one.
+// TestScheduleContextPlainAlgorithms: the helper must run algorithms
+// that never look at their context unchanged under a live context and
+// refuse a dead one.
 func TestScheduleContextPlainAlgorithms(t *testing.T) {
 	ls, err := network.Generate(network.PaperConfig(20), 6, 0)
 	if err != nil {

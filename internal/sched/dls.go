@@ -60,33 +60,22 @@ const (
 )
 
 // Schedule implements Algorithm.
-func (a DLS) Schedule(pr *Problem) Schedule {
-	s, _ := a.ScheduleContext(context.Background(), pr) // Background never cancels
-	return s
-}
+func (a DLS) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
-// ScheduleContext implements ContextAlgorithm: cancellation is checked
-// at each synchronous round boundary — the natural preemption point of
-// the protocol, since a half-executed round may leave the tentative
-// set infeasible. On cancellation ctx.Err() is returned and the
-// partial active set is discarded.
+// solve implements solver. Cancellation is checked at each synchronous
+// round boundary — the natural preemption point of the protocol, since
+// a half-executed round may leave the tentative set infeasible. On
+// cancellation ctx.Err() is returned and the partial active set is
+// discarded. All per-round state — priorities, winner lists, the
+// tentative accumulator — lives in the scratch, so the round loop
+// stops churning slices once the scratch is warm.
 //
-// When ctx carries an obs.Tracer the protocol reports the rounds it
-// actually ran (quiescence can end it early), total round winners,
-// NACK backoffs, and links that gave up.
-func (a DLS) ScheduleContext(ctx context.Context, pr *Problem) (Schedule, error) {
-	return a.scheduleScratchContext(ctx, pr, new(Scratch), nil)
-}
-
-// scheduleScratchContext is the single implementation behind both
-// entry points (see Greedy.scheduleScratch): all per-round state —
-// priorities, winner lists, the tentative accumulator — lives in the
-// scratch, so the protocol's round loop stops churning slices once the
-// scratch is warm.
-func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
-	tr := obs.TracerFrom(ctx)
-	sp := tr.StartPhase("rounds")
-	defer sp.End()
+// The one phase, "rounds", counts the rounds the protocol actually ran
+// (quiescence can end it early), total round winners, NACK backoffs,
+// links that gave up, and leader-election contention checks.
+func (a DLS) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
+	ph := obs.SpanFrom(ctx).Child("rounds")
+	defer ph.End()
 	rounds := a.Rounds
 	if rounds == 0 {
 		rounds = 48
@@ -208,18 +197,18 @@ func (a DLS) scheduleScratchContext(ctx context.Context, pr *Problem, scr *Scrat
 		totalNacks += nacks
 	}
 	scr.active = active
-	if tr != nil {
+	if ph.Enabled() {
 		var gaveUp int64
 		for _, s := range state {
 			if s == dlsGaveUp {
 				gaveUp++
 			}
 		}
-		tr.Count(obs.KeyRounds, ranRounds)
-		tr.Count(obs.KeyWinner, totalWinners)
-		tr.Count(obs.KeyNacks, totalNacks)
-		tr.Count(obs.KeyGaveUp, gaveUp)
-		tr.Count(obs.KeyContentionChecks, checks)
+		ph.Add(obs.KeyRounds, ranRounds)
+		ph.Add(obs.KeyWinner, totalWinners)
+		ph.Add(obs.KeyNacks, totalNacks)
+		ph.Add(obs.KeyGaveUp, gaveUp)
+		ph.Add(obs.KeyContentionChecks, checks)
 	}
 	return finishSchedule(a.Name(), active, dst), nil
 }

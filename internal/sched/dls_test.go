@@ -113,19 +113,15 @@ func TestDLSElectionMatchesAllPairs(t *testing.T) {
 					t.Fatal(err)
 				}
 				a := DLS{Seed: in.seed}
-				wantTr, gotTr := obs.NewTracer(), obs.NewTracer()
-				want, err := allPairsDLS(obs.WithTracer(context.Background(), wantTr), a, pp.Problem(), new(Scratch))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := pp.ScheduleInto(obs.WithTracer(context.Background(), gotTr), a, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want, ws := tracedSolve(t, func(ctx context.Context) (Schedule, error) {
+					return allPairsDLS(ctx, a, pp.Problem(), new(Scratch))
+				})
+				got, gs := tracedSolve(t, func(ctx context.Context) (Schedule, error) {
+					return pp.ScheduleInto(ctx, a, nil)
+				})
 				if !got.Equal(want) {
 					t.Fatalf("ranked election %v != all-pairs %v", got.Active, want.Active)
 				}
-				ws, gs := wantTr.Stats(), gotTr.Stats()
 				for _, k := range []string{obs.KeyRounds, obs.KeyWinner, obs.KeyNacks, obs.KeyGaveUp} {
 					if ws.Counter(k) != gs.Counter(k) {
 						t.Errorf("%s: ranked %d != all-pairs %d", k, gs.Counter(k), ws.Counter(k))
@@ -145,7 +141,7 @@ func TestDLSElectionMatchesAllPairs(t *testing.T) {
 // here only as the reference TestDLSElectionMatchesAllPairs compares
 // against.
 func allPairsDLS(ctx context.Context, a DLS, pr *Problem, scr *Scratch) (Schedule, error) {
-	tr := obs.TracerFrom(ctx)
+	sp := obs.SpanFrom(ctx)
 	rounds := a.Rounds
 	if rounds == 0 {
 		rounds = 48
@@ -245,10 +241,10 @@ func allPairsDLS(ctx context.Context, a DLS, pr *Problem, scr *Scratch) (Schedul
 			gaveUp++
 		}
 	}
-	tr.Count(obs.KeyRounds, ranRounds)
-	tr.Count(obs.KeyWinner, totalWinners)
-	tr.Count(obs.KeyNacks, totalNacks)
-	tr.Count(obs.KeyGaveUp, gaveUp)
+	sp.Add(obs.KeyRounds, ranRounds)
+	sp.Add(obs.KeyWinner, totalWinners)
+	sp.Add(obs.KeyNacks, totalNacks)
+	sp.Add(obs.KeyGaveUp, gaveUp)
 	return finishSchedule(a.Name(), active, nil), nil
 }
 
@@ -270,12 +266,10 @@ func BenchmarkDLS(b *testing.B) {
 				b.Fatal(err)
 			}
 			var a Algorithm = DLS{Seed: 1}
-			tr := obs.NewTracer()
-			s, err := pp.ScheduleInto(obs.WithTracer(context.Background(), tr), a, nil) // fills the rows the solve reads
-			if err != nil {
-				b.Fatal(err)
-			}
-			checks := tr.Stats().Counter(obs.KeyContentionChecks)
+			s, st := tracedSolve(b, func(ctx context.Context) (Schedule, error) {
+				return pp.ScheduleInto(ctx, a, nil) // fills the rows the solve reads
+			})
+			checks := st.Counter(obs.KeyContentionChecks)
 			buf := s.Active
 			ctx := context.Background()
 			b.ReportAllocs()

@@ -40,23 +40,16 @@ const DefaultExactMaxN = 26
 func (Exact) Name() string { return "exact" }
 
 // Schedule implements Algorithm.
-func (e Exact) Schedule(pr *Problem) Schedule {
-	s, err := e.ScheduleContext(context.Background(), pr)
-	if err != nil {
-		// Background is never canceled; any other failure mode panics
-		// inside the search.
-		panic("sched: exact solve failed: " + err.Error())
-	}
-	return s
-}
+func (e Exact) Schedule(pr *Problem) Schedule { return schedule(e, pr) }
 
-// ScheduleContext implements ContextAlgorithm: the branch-and-bound
-// workers poll a shared stop flag raised when ctx is canceled, so an
-// abandoned request stops burning cores within a few thousand nodes
-// (microseconds). On cancellation the incumbent is discarded — a
-// partially explored tree carries no optimality certificate — and
-// ctx.Err() is returned.
-func (e Exact) ScheduleContext(ctx context.Context, pr *Problem) (Schedule, error) {
+// solve implements solver: the branch-and-bound workers poll a shared
+// stop flag raised when ctx is canceled, so an abandoned request stops
+// burning cores within a few thousand nodes (microseconds). On
+// cancellation the incumbent is discarded — a partially explored tree
+// carries no optimality certificate — and ctx.Err() is returned.
+// Phases "prep" (counting subtree tasks) and "search" (the search
+// counters).
+func (e Exact) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (Schedule, error) {
 	maxN := e.MaxN
 	if maxN == 0 {
 		maxN = DefaultExactMaxN
@@ -64,11 +57,11 @@ func (e Exact) ScheduleContext(ctx context.Context, pr *Problem) (Schedule, erro
 	if pr.N() > maxN {
 		panic("sched: Exact solver refused instance larger than MaxN; use the approximation algorithms")
 	}
-	best, err := exactSolve(ctx, pr, e.splitDepth(pr.N()), obs.TracerFrom(ctx))
+	best, err := exactSolve(ctx, pr, e.splitDepth(pr.N()), obs.SpanFrom(ctx))
 	if err != nil {
 		return Schedule{}, err
 	}
-	return NewSchedule("exact", best), nil
+	return finishSchedule(e.Name(), best, dst), nil
 }
 
 func (e Exact) splitDepth(n int) int {
@@ -95,7 +88,7 @@ type exactState struct {
 	// the tasks race, so ties go to the seed, then to the lowest task
 	// index: the answer must not depend on goroutine scheduling.
 	bestTask int
-	// Search counters for the tracer, aggregated under mu from each
+	// Search counters for the search span, aggregated under mu from each
 	// subtree task's local dfsCounters when the task finishes — the
 	// per-node hot path touches only task-local ints.
 	nodes, cutoffs, infeasible, offers int64
@@ -152,12 +145,12 @@ func (st *exactState) prunable(bound float64, task int) bool {
 	return !st.improves(bound, task)
 }
 
-func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer) ([]int, error) {
+func exactSolve(ctx context.Context, pr *Problem, splitDepth int, sp obs.Span) ([]int, error) {
 	n := pr.N()
 	if n == 0 {
 		return nil, nil
 	}
-	prep := tr.StartPhase("prep")
+	prep := sp.Child("prep")
 	// Decision order: descending rate so the additive bound tightens
 	// fast; ties broken by shorter length (easier to keep feasible).
 	order := make([]int, n)
@@ -215,10 +208,10 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer
 	// Informed checks in tryInclude test the full noise-aware budget
 	// (identical to plain Corollary 3.1 when N0 = 0).
 	build(0, nil, NewAccum(pr), 0)
+	prep.Add(obs.KeySubtreeTasks, int64(len(tasks)))
 	prep.End()
-	tr.Count(obs.KeySubtreeTasks, int64(len(tasks)))
 
-	search := tr.StartPhase("search")
+	search := sp.Child("search")
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for k, tk := range tasks {
@@ -233,19 +226,18 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, tr *obs.Tracer
 		}(k, tk)
 	}
 	wg.Wait()
-	search.End()
 	if err := ctx.Err(); err != nil {
+		search.End()
 		return nil, err
 	}
-	if tr != nil {
-		st.mu.Lock()
-		tr.Count(obs.KeyNodesExpanded, st.nodes)
-		tr.Count(obs.KeyBoundCutoffs, st.cutoffs)
-		tr.Count(obs.KeyInfeasible, st.infeasible)
-		tr.Count(obs.KeyIncumbents, st.offers)
-		st.mu.Unlock()
-	}
-	return append([]int(nil), st.bestSet...), nil
+	st.mu.Lock()
+	search.Add(obs.KeyNodesExpanded, st.nodes)
+	search.Add(obs.KeyBoundCutoffs, st.cutoffs)
+	search.Add(obs.KeyInfeasible, st.infeasible)
+	search.Add(obs.KeyIncumbents, st.offers)
+	st.mu.Unlock()
+	search.End()
+	return st.bestSet, nil
 }
 
 // tryInclude returns the accumulator state after adding sender i to

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -19,20 +20,12 @@ type Greedy struct{}
 func (Greedy) Name() string { return "greedy" }
 
 // Schedule implements Algorithm.
-func (g Greedy) Schedule(pr *Problem) Schedule { return g.ScheduleTraced(pr, nil) }
+func (g Greedy) Schedule(pr *Problem) Schedule { return schedule(g, pr) }
 
-// ScheduleTraced implements TracedAlgorithm: phases "sort" and
-// "insert", counters for links admitted vs rejected by the budget
-// checks.
-func (g Greedy) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return g.scheduleScratch(pr, new(Scratch), tr, nil)
-}
-
-// scheduleScratch is the single implementation behind both entry
-// points: a fresh Scratch reproduces the historical allocation
-// profile, a pooled one (via Prepared) makes the loop allocation-free.
-func (g Greedy) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
-	return g.scheduleRestricted(pr, scr, Selection{}, tr, dst)
+// solve implements solver: phases "sort" and "insert", the latter
+// counting links admitted vs rejected by the budget checks.
+func (g Greedy) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
+	return g.scheduleRestricted(pr, scr, Selection{}, obs.SpanFrom(ctx), dst), nil
 }
 
 // Selection restricts and re-orders a greedy solve without rebuilding
@@ -73,7 +66,8 @@ func (sel Selection) admits(i int) bool {
 	return true
 }
 
-// scheduleRestricted is scheduleScratch generalized over a Selection.
+// scheduleRestricted is solve generalized over a Selection, recording
+// its phases under sp.
 // It lists the links the selection admits, in index order, and
 // stable-sorts only that list: a stable sort restricted to a subset
 // equals the stable sort of that subset, so the pick order — and with
@@ -85,14 +79,14 @@ func (sel Selection) admits(i int) bool {
 // accumulator updates just the listed receivers: a slot of a light
 // traffic run costs an O(n) selection scan plus sort and accumulation
 // over its m candidates.
-func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, tr *obs.Tracer, dst []int) Schedule {
+func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp obs.Span, dst []int) Schedule {
 	n := pr.N()
 	// Pick order: descending rate, ties by ascending length, then by
 	// index (sort.Stable over an index-ordered list). Keys are negated
 	// so the shared ascending two-key sorter realizes the descending
 	// order. With weights the primary key is the weight and rate
 	// breaks ties.
-	sp := tr.StartPhase("sort")
+	ph := sp.Child("sort")
 	cands := intsIn(&scr.cands, n)[:0]
 	for i := 0; i < n; i++ {
 		if sel.admits(i) {
@@ -114,12 +108,12 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, tr 
 		}
 	}
 	sort.Stable(ps)
-	sp.End()
+	ph.End()
 
 	// acc tracks each receiver's total budget usage: its noise term
 	// (zero in the paper's model) plus interference from the current
 	// set. Greedy needs no headroom slack — it checks the exact budget.
-	sp = tr.StartPhase("insert")
+	ph = sp.Child("insert")
 	acc := scr.noiseAccum(pr)
 	if len(cands) < n {
 		acc.only = cands
@@ -149,9 +143,9 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, tr 
 		active = append(active, i)
 	}
 	scr.active = active
-	sp.End()
-	tr.Count(obs.KeyAdmitted, int64(len(active)))
-	tr.Count(obs.KeyRejected, int64(rejected))
+	ph.Add(obs.KeyAdmitted, int64(len(active)))
+	ph.Add(obs.KeyRejected, int64(rejected))
+	ph.End()
 	return finishSchedule(g.Name(), active, dst)
 }
 

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"context"
+
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -29,14 +31,15 @@ func (a LDP) Name() string {
 }
 
 // Schedule implements Algorithm.
-func (a LDP) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
+func (a LDP) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
-// ScheduleTraced implements TracedAlgorithm: phases "classes" (length
-// decomposition + headroom) and "partition" (grid tiling and candidate
-// selection), counters for length classes, grid cells bucketed, and
-// candidate schedules compared.
-func (a LDP) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	sp := tr.StartPhase("classes")
+// solve implements solver: phases "classes" (length decomposition +
+// headroom) and "partition" (grid tiling and candidate selection), the
+// latter counting length classes, grid cells bucketed, and candidate
+// schedules compared.
+func (a LDP) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (Schedule, error) {
+	sp := obs.SpanFrom(ctx)
+	ph := sp.Child("classes")
 	classes := pr.Links.LengthClasses()
 	if a.Banded {
 		classes = pr.Links.BandedLengthClasses()
@@ -44,9 +47,9 @@ func (a LDP) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
 	budget, spread, usable := pr.headroom()
 	classes = filterClasses(classes, usable)
 	beta := ldpBetaFor(pr.Params, budget, spread)
-	sp.End()
-	best := gridPartitionBest(pr, classes, beta, tr)
-	return NewSchedule(a.Name(), best)
+	ph.End()
+	best := gridPartitionBest(pr, classes, beta, sp)
+	return finishSchedule(a.Name(), best, dst), nil
 }
 
 // filterClasses drops class members the headroom analysis marked
@@ -69,14 +72,14 @@ func filterClasses(classes []network.LengthClass, usable []bool) []network.Lengt
 // for a given class decomposition and grid constant, returning the
 // candidate with the highest total rate. It is shared verbatim between
 // LDP (fading β) and ApproxLogN (deterministic β): the paper's
-// comparison isolates exactly this one constant. tr (nil-safe) takes
-// the partition phase timing and the cell/candidate counters.
-func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64, tr *obs.Tracer) []int {
+// comparison isolates exactly this one constant. The partition phase
+// and its cell/candidate counters record under sp.
+func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64, sp obs.Span) []int {
 	if pr.N() == 0 {
 		return nil
 	}
-	sp := tr.StartPhase("partition")
-	defer sp.End()
+	ph := sp.Child("partition")
+	defer ph.End()
 	receivers := pr.Links.Receivers()
 	region := geom.BoundingBox(receivers)
 	var (
@@ -123,9 +126,9 @@ func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64,
 			}
 		}
 	}
-	tr.Count(obs.KeyClasses, nClasses)
-	tr.Count(obs.KeyGridCells, nCells)
-	tr.Count(obs.KeyCandidates, candidates)
+	ph.Add(obs.KeyClasses, nClasses)
+	ph.Add(obs.KeyGridCells, nCells)
+	ph.Add(obs.KeyCandidates, candidates)
 	return best
 }
 

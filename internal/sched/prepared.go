@@ -108,8 +108,8 @@ func (pp *Prepared) Schedule(a Algorithm) Schedule {
 }
 
 // ScheduleContext runs a on the prepared problem under ctx with pooled
-// scratch, with the same dispatch, tracing, and cancellation semantics
-// as the package-level ScheduleContext. The returned schedule owns a
+// scratch, with the same dispatch, span recording, and cancellation
+// semantics as the package-level ScheduleContext. The returned schedule owns a
 // freshly allocated active set; use ScheduleInto to recycle one.
 func (pp *Prepared) ScheduleContext(ctx context.Context, a Algorithm) (Schedule, error) {
 	return pp.ScheduleInto(ctx, a, nil)
@@ -141,7 +141,9 @@ func (pp *Prepared) ScheduleWeightedInto(ctx context.Context, sel Selection, dst
 	}
 	scr := pp.getScratch()
 	defer pp.putScratch(scr)
-	s := Greedy{}.scheduleRestricted(pp.pr, scr, sel, obs.TracerFrom(ctx), dst)
+	// A traffic run calls this once per slot, so it records no spans:
+	// the caller's trace carries the run, not its thousands of solves.
+	s := Greedy{}.scheduleRestricted(pp.pr, scr, sel, obs.Span{}, dst)
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
 	}

@@ -20,8 +20,8 @@ func preparedTestInstance(t testing.TB, n int, seed uint64) *network.LinkSet {
 }
 
 // preparedTestAlgorithms is every registered algorithm cheap enough to
-// run on a few hundred links, covering all four dispatch paths of
-// scheduleWith (scratch, scratch-context, context, traced).
+// run on a few hundred links, each reaching scheduleWith through its
+// solve method.
 func preparedTestAlgorithms() []Algorithm {
 	return []Algorithm{
 		Greedy{}, RLE{}, RLE{C2: 0.3}, ApproxDiversity{}, ApproxLogN{}, LDP{},
@@ -29,10 +29,10 @@ func preparedTestAlgorithms() []Algorithm {
 	}
 }
 
-// TestPreparedMatchesDirect pins the tentpole's correctness claim: a
-// prepared solve is the same computation as a direct solve — same
-// dispatch, same scratch-parameterized code path — so the schedules
-// must be identical, on both field backends, solve after solve.
+// TestPreparedMatchesDirect pins that a prepared solve is the same
+// computation as a direct solve — same dispatch, same
+// scratch-parameterized code path — so the schedules must be
+// identical, on both field backends, solve after solve.
 func TestPreparedMatchesDirect(t *testing.T) {
 	ls := preparedTestInstance(t, 250, 42)
 	p := radio.DefaultParams()
@@ -264,18 +264,11 @@ func TestPreparedSolveZeroAllocs(t *testing.T) {
 }
 
 func scheduleScratchFor(t *testing.T, a Algorithm, prep *Prepared, scr *Scratch, dst []int) Schedule {
-	switch impl := a.(type) {
-	case scratchAlgorithm:
-		return impl.scheduleScratch(prep.Problem(), scr, nil, dst)
-	case scratchContextAlgorithm:
-		s, err := impl.scheduleScratchContext(context.Background(), prep.Problem(), scr, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	s, err := a.(solver).solve(context.Background(), prep.Problem(), scr, dst)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("%s is not scratch-capable", a.Name())
-	return Schedule{}
+	return s
 }
 
 // TestScheduleIntoBuffer checks the dst contract: the active set lands

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -38,17 +39,11 @@ func (a RLE) Name() string {
 }
 
 // Schedule implements Algorithm.
-func (a RLE) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
+func (a RLE) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
-// ScheduleTraced implements TracedAlgorithm: the shared elimination
-// core reports pick/elimination counters and phase timings into tr.
-func (a RLE) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return a.scheduleScratch(pr, new(Scratch), tr, nil)
-}
-
-// scheduleScratch is the single implementation behind both entry
-// points (see Greedy.scheduleScratch).
-func (a RLE) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
+// solve implements solver through the shared elimination core (phases
+// "sort" and "eliminate", pick and elimination counters).
+func (a RLE) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	c2 := a.C2
 	if c2 == 0 {
 		c2 = DefaultC2
@@ -59,8 +54,8 @@ func (a RLE) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []in
 		budget: c2 * budget,
 		accum:  scr.zeroAccum(pr),
 		usable: usable,
-	}, tr, scr)
-	return finishSchedule(a.Name(), active, dst)
+	}, obs.SpanFrom(ctx), scr)
+	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // eliminationConfig parameterizes the shared shortest-link-first
@@ -92,20 +87,20 @@ type interferenceAccum interface {
 }
 
 // eliminationSchedule returns the raw (pick-ordered) active set in a
-// scratch-owned buffer; callers copy it out via finishSchedule before
-// the scratch is reused.
-func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr *obs.Tracer, scr *Scratch) []int {
+// scratch-owned buffer, recording its phases under sp; callers copy
+// the set out via finishSchedule before the scratch is reused.
+func eliminationSchedule(pr *Problem, cfg eliminationConfig, sp obs.Span, scr *Scratch) []int {
 	n := pr.N()
 	// Pick order: ascending link length, ties by index (deterministic).
-	sp := tr.StartPhase("sort")
+	ph := sp.Child("sort")
 	ps := scr.pickSorterBufs(n, false)
 	for i := 0; i < n; i++ {
 		ps.k1[i] = pr.Links.Length(i)
 	}
 	sort.Stable(ps)
-	sp.End()
+	ph.End()
 
-	sp = tr.StartPhase("eliminate")
+	ph = sp.Child("eliminate")
 	alive := boolsIn(&scr.alive, n)
 	for i := range alive {
 		alive[i] = cfg.usable == nil || cfg.usable[i]
@@ -150,10 +145,10 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, tr *obs.Tracer, scr
 		cfg.accum.AddLink(i)
 	}
 	scr.active = active
-	sp.End()
-	tr.Count(obs.KeyPicks, int64(len(active)))
-	tr.Count(obs.KeyRule1, rule1)
-	tr.Count(obs.KeyRule2, rule2)
+	ph.Add(obs.KeyPicks, int64(len(active)))
+	ph.Add(obs.KeyRule1, rule1)
+	ph.Add(obs.KeyRule2, rule2)
+	ph.End()
 	return active
 }
 

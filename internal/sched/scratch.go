@@ -16,9 +16,8 @@ import (
 // A Scratch belongs to exactly one solve at a time; Prepared hands
 // them out from a sync.Pool so concurrent solves on the same handle
 // never share one. The zero value is valid: every getter allocates on
-// first use, which is how the legacy Schedule/ScheduleTraced entry
-// points run unchanged (they pass a fresh Scratch and pay the old
-// allocation profile at most once).
+// first use, which is how Algorithm.Schedule and the package-level
+// ScheduleContext run (on a fresh Scratch per solve).
 type Scratch struct {
 	// pp points at the owning Prepared's shared immutable caches
 	// (sender index, median length); nil for standalone scratches,
@@ -242,7 +241,7 @@ func (s *Scratch) medianLength(pr *Problem) float64 {
 // finishSchedule copies the raw active set into dst[:0] sorted
 // ascending — the normalized Schedule form — leaving the scratch-owned
 // source free for reuse. With dst nil a fresh result slice is
-// allocated, which is the legacy-API behavior.
+// allocated.
 func finishSchedule(name string, active, dst []int) Schedule {
 	dst = append(dst[:0], active...)
 	sort.Ints(dst)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sort"
@@ -94,15 +95,7 @@ func (a Sharded) WithShards(k int) Algorithm { a.Shards = k; return a }
 func (Sharded) Name() string { return "greedy-sharded" }
 
 // Schedule implements Algorithm.
-func (a Sharded) Schedule(pr *Problem) Schedule { return a.ScheduleTraced(pr, nil) }
-
-// ScheduleTraced implements TracedAlgorithm: phases "sort",
-// "tile_partition", "tile_solve" (one per worker, accumulated), and
-// "tile_merge"; counters KeyTiles, KeyTilesSolved, KeyTileAdmitted,
-// KeyBoundaryRepairs plus the standard KeyAdmitted/KeyRejected.
-func (a Sharded) ScheduleTraced(pr *Problem, tr *obs.Tracer) Schedule {
-	return a.scheduleScratch(pr, new(Scratch), tr, nil)
-}
+func (a Sharded) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
 // reserveFrac resolves the effective reservation ρ.
 func (a Sharded) reserveFrac() float64 {
@@ -137,9 +130,13 @@ func (a Sharded) tileCount(n int) int {
 	return k
 }
 
-// scheduleScratch is the single implementation behind both entry
-// points (see Greedy.scheduleScratch for the pattern).
-func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst []int) Schedule {
+// solve implements solver: phases "sort", "tile_partition" (counting
+// KeyTiles), "tile_solve" (one span per worker, counting
+// KeyTilesSolved and KeyTileAdmitted as each tile finishes), and
+// "tile_merge" (KeyBoundaryRepairs plus the standard KeyAdmitted and
+// KeyRejected).
+func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
+	sp := obs.SpanFrom(ctx)
 	n := pr.N()
 	k := a.tileCount(n)
 
@@ -149,33 +146,31 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 	// to a subset equals the stable sort of that subset, so every tile
 	// considers its members in exactly the order the unsharded greedy
 	// would have reached them.
-	sp := tr.StartPhase("sort")
+	ph := sp.Child("sort")
 	ps := scr.pickSorterBufs(n, true)
 	for i := 0; i < n; i++ {
 		ps.k1[i] = -pr.Links.Rate(i)
 		ps.k2[i] = pr.Links.Length(i)
 	}
 	sort.Stable(ps)
-	sp.End()
+	ph.End()
 
 	if k <= 1 {
-		return a.finishUnsharded(pr, scr, ps.order, tr, dst, 1)
+		return a.finishUnsharded(pr, scr, ps.order, sp, dst), nil
 	}
 
 	sb := scr.shardState()
-	sp = tr.StartPhase("tile_partition")
+	ph = sp.Child("tile_partition")
 	tiles := sb.partition(pr, scr, k, ps.order)
-	if spn := sp.Span(); spn.Enabled() {
-		spn.SetInt("requested", int64(k))
-		spn.SetInt("tiles", int64(tiles))
-	}
-	sp.End()
+	ph.SetInt("requested", int64(k))
 	if tiles <= 1 {
 		// Degenerate geometry (all receivers in one cell): the tile pass
 		// would just be the global pass with a smaller budget.
-		return a.finishUnsharded(pr, scr, ps.order, tr, dst, 1)
+		ph.End()
+		return a.finishUnsharded(pr, scr, ps.order, sp, dst), nil
 	}
-	tr.Count(obs.KeyTiles, int64(tiles))
+	ph.Add(obs.KeyTiles, int64(tiles))
+	ph.End()
 
 	// Solve tiles on a bounded worker pool: workers pull tile indices
 	// from an atomic cursor, check a private Scratch out of the
@@ -194,11 +189,11 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wsp := tr.StartPhase("tile_solve")
+			wsp := sp.Child("tile_solve")
 			wscr, release := tileScratch(scr)
 			defer release()
 			ta := wscr.tileAccum(pr, sb.tileOf)
-			var solved, visited, rejected int
+			var visited, rejected int
 			for {
 				t := int(cursor.Add(1)) - 1
 				if t >= tiles {
@@ -233,17 +228,13 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 					adm = append(adm, m)
 				}
 				sb.admCount[t] = int32(len(adm))
-				solved++
 				visited += len(members)
-				// Live progress for mid-solve Stats snapshots
-				// (GET /debug/state reads these from another goroutine).
-				tr.Count(obs.KeyTilesSolved, 1)
-				tr.Count(obs.KeyTileAdmitted, int64(len(adm)))
+				// Live progress for mid-solve stats reads
+				// (GET /debug/state folds these from another goroutine).
+				wsp.Add(obs.KeyTilesSolved, 1)
+				wsp.Add(obs.KeyTileAdmitted, int64(len(adm)))
 			}
-			if spn := wsp.Span(); spn.Enabled() {
-				spn.SetInt("tiles", int64(solved))
-				spn.SetInt("links", int64(visited))
-			}
+			wsp.SetInt("links", int64(visited))
 			wsp.End()
 			tileRejected.Add(int64(rejected))
 		}()
@@ -257,7 +248,7 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 	// infeasible where Greedy's would be accepted — and candidates that
 	// only fit under their tile's blinkered view (boundary conflicts)
 	// are dropped here, counted as repairs.
-	sp = tr.StartPhase("tile_merge")
+	ph = sp.Child("tile_merge")
 	mark := boolsIn(&sb.mark, n)
 	for t := 0; t < tiles; t++ {
 		lo := sb.tileStart[t]
@@ -276,31 +267,25 @@ func (a Sharded) scheduleScratch(pr *Problem, scr *Scratch, tr *obs.Tracer, dst 
 	}
 	sb.cand = cand
 	active, repairs := greedyInsert(pr, scr, cand)
-	if spn := sp.Span(); spn.Enabled() {
-		spn.SetInt("candidates", int64(len(cand)))
-		spn.SetInt("repairs", int64(repairs))
-	}
-	sp.End()
-
-	tr.Count(obs.KeyBoundaryRepairs, int64(repairs))
-	tr.Count(obs.KeyAdmitted, int64(len(active)))
-	tr.Count(obs.KeyRejected, tileRejected.Load()+int64(repairs))
-	return finishSchedule(a.Name(), active, dst)
+	ph.SetInt("candidates", int64(len(cand)))
+	ph.Add(obs.KeyBoundaryRepairs, int64(repairs))
+	ph.Add(obs.KeyAdmitted, int64(len(active)))
+	ph.Add(obs.KeyRejected, tileRejected.Load()+int64(repairs))
+	ph.End()
+	return finishSchedule(a.Name(), active, dst), nil
 }
 
 // finishUnsharded is the single-tile path: a full-budget greedy
 // insertion over the global pick order, bit-identical to Greedy's
 // activation set (only the algorithm label differs).
-func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, tr *obs.Tracer, dst []int, tiles int) Schedule {
-	sp := tr.StartPhase("tile_merge")
+func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, sp obs.Span, dst []int) Schedule {
+	ph := sp.Child("tile_merge")
 	active, rejected := greedyInsert(pr, scr, order)
-	if spn := sp.Span(); spn.Enabled() {
-		spn.SetInt("candidates", int64(len(order)))
-	}
-	sp.End()
-	tr.Count(obs.KeyTiles, int64(tiles))
-	tr.Count(obs.KeyAdmitted, int64(len(active)))
-	tr.Count(obs.KeyRejected, int64(rejected))
+	ph.SetInt("candidates", int64(len(order)))
+	ph.Add(obs.KeyTiles, 1)
+	ph.Add(obs.KeyAdmitted, int64(len(active)))
+	ph.Add(obs.KeyRejected, int64(rejected))
+	ph.End()
 	return finishSchedule(a.Name(), active, dst)
 }
 
@@ -445,8 +430,8 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []i
 }
 
 // tileScratch checks a worker-private Scratch out of the owning
-// Prepared's pool (a fresh one on the legacy non-prepared path) and
-// returns it with its release.
+// Prepared's pool (a fresh one for a standalone scratch) and returns
+// it with its release.
 func tileScratch(scr *Scratch) (*Scratch, func()) {
 	if scr.pp != nil {
 		pp := scr.pp

@@ -12,9 +12,9 @@ import (
 // lives in shard_mc_test.go (package sched_test): internal/mc imports
 // this package, so the oracle must sit in the external test package.
 
-// TestShardedLegacyEntryPoints pins that the non-prepared paths
-// (Schedule, ScheduleTraced with fresh scratch) produce the same
-// schedule as the prepared path.
+// TestShardedLegacyEntryPoints pins that the non-prepared path
+// (Schedule on a fresh scratch) produces the same schedule as the
+// prepared path.
 func TestShardedLegacyEntryPoints(t *testing.T) {
 	ls := genLinkSet(t, 300, 3, 500)
 	pr := MustNewProblem(ls, radio.DefaultParams())

@@ -94,8 +94,8 @@ type debugSessionInfo struct {
 }
 
 // debugShardSolveInfo is one in-flight tile-sharded solve in
-// GET /debug/state: its shard fan-out so far, read live from the
-// solver's tracer counters while tile workers are still running.
+// GET /debug/state: its shard fan-out so far, folded live from the
+// solve's span counters while tile workers are still running.
 type debugShardSolveInfo struct {
 	TraceID   string `json:"trace_id,omitempty"`
 	Algorithm string `json:"algorithm"`
@@ -163,10 +163,10 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 	s.liveMu.Lock()
 	shardSolves := make([]debugShardSolveInfo, 0, len(s.liveSolves))
 	for ls := range s.liveSolves {
-		// Stats snapshots the tracer under its own mutex; the tile
-		// workers bumping these counters mid-solve are safe concurrent
-		// writers.
-		st := ls.tr.Stats()
+		// SolveStats folds the solve's trace under its own mutex; the
+		// tile workers bumping these counters mid-solve are safe
+		// concurrent writers.
+		st := ls.trace.SolveStats()
 		shardSolves = append(shardSolves, debugShardSolveInfo{
 			TraceID:         ls.traceID,
 			Algorithm:       ls.algorithm,

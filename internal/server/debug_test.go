@@ -131,7 +131,7 @@ func TestDebugRequestsListsSolveTrace(t *testing.T) {
 		}
 	}
 	// The solver's phase spans nest under "solve" — at least one phase
-	// beyond the pipeline spans must be present (the Tracer upgrade).
+	// beyond the pipeline spans must be present.
 	if len(snap.Spans) < 8 {
 		t.Fatalf("expected solver phase spans, got only %d spans: %v", len(snap.Spans), names)
 	}

@@ -242,3 +242,65 @@ func TestMetricsScrapeVsRecordRace(t *testing.T) {
 		t.Errorf("scrape missing %q after concurrent load\n%s", want, body)
 	}
 }
+
+// phaseSeconds matches the wall-time field of every stats phase.
+var phaseSeconds = regexp.MustCompile(`"seconds":[-0-9.e+]+`)
+
+// TestSolveStatsIndependentOfTracing: every solve records into its own
+// trace, so response stats — phase names, order and counters — are
+// the same whether the flight recorder is on or off, and whether or
+// not the request's trace arena overflows. A traced 64-config batch
+// at n=200 drops spans from its request trace; its bodies must still
+// match the untraced server's byte for byte once the phase wall times
+// are zeroed.
+func TestSolveStatsIndependentOfTracing(t *testing.T) {
+	links := paperLinks(t, 200, 3)
+	configs := make([]BatchConfig, maxBatchConfigs)
+	for i := range configs {
+		configs[i] = BatchConfig{Algorithm: "rle", Eps: 0.001 * float64(i+1)}
+	}
+	configs[0] = BatchConfig{Algorithm: "greedy-sharded", Shards: 4}
+	configs[1] = BatchConfig{Algorithm: "dls"}
+	bodies := func(ring int) ([][]byte, *Server) {
+		srv := New(Config{TraceRing: ring})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		var out [][]byte
+		for _, q := range []SolveRequest{{Algorithm: "rle"}, {Algorithm: "greedy-sharded", Shards: 4}, {Algorithm: "dls"}, {Algorithm: "ldp"}} {
+			q.Links = links
+			resp := postSolve(t, ts, q)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", q.Algorithm, resp.StatusCode)
+			}
+			out = append(out, readAll(t, resp.Body))
+		}
+		resp := postBatch(t, ts, BatchRequest{Links: links, Configs: configs})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: status %d", resp.StatusCode)
+		}
+		out = append(out, readAll(t, resp.Body))
+		for i, b := range out {
+			out[i] = phaseSeconds.ReplaceAll(b, []byte(`"seconds":0`))
+		}
+		return out, srv
+	}
+	traced, srv := bodies(0)
+	untraced, _ := bodies(-1)
+	for i := range traced {
+		if !bytes.Equal(traced[i], untraced[i]) {
+			t.Errorf("body %d differs with tracing on:\n%s\n%s", i, traced[i], untraced[i])
+		}
+	}
+	if !bytes.Contains(traced[len(traced)-1], []byte(`"rule1_eliminated"`)) {
+		t.Errorf("batch results carry no solver counters: %.200s", traced[len(traced)-1])
+	}
+	var dropped int64
+	for _, snap := range srv.recorder.Recent(16) {
+		if snap.Name == "POST /v1/solve/batch" {
+			dropped = snap.DroppedSpans
+		}
+	}
+	if dropped == 0 {
+		t.Error("the traced batch did not overflow its arena; the test no longer covers that case")
+	}
+}

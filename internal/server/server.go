@@ -127,7 +127,7 @@ type Server struct {
 	// Live sharded-solve registry: every in-flight solve running the
 	// tile-sharded algorithm, so GET /debug/state can report shard
 	// fan-out (tiles solved so far, boundary repairs) mid-solve. The
-	// tracer counters it reads are bumped live by the tile workers.
+	// span counters it folds are bumped live by the tile workers.
 	liveMu     sync.Mutex
 	liveSolves map[*liveSolve]struct{}
 
@@ -257,7 +257,7 @@ func (s *Server) ResetPreparedCache() { s.preps.reset() }
 // wrapped around the route table: every request gets a trace ID (a
 // valid inbound X-Trace-Id is adopted so retries and resumed streams
 // correlate across requests; otherwise a fresh one is minted),
-// propagated via context into solver tracing and every log record and
+// propagated via context into every log record and
 // echoed in the X-Trace-Id response header, plus a latency-histogram
 // observation and an access-log line. When the flight recorder is
 // enabled the request also gets a span trace rooted at "METHOD /path";
@@ -343,21 +343,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // handleSolve is the serving hot path.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "trailing data after request")
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	if err := req.validate(s.cfg.MaxLinks); err != nil {
@@ -498,26 +484,27 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 		return nil, err
 	}
 	pr := prep.Problem()
-	// The tracer rides the context into the solver; its snapshot is the
-	// response's stats field. Trace stats go in the cached body — a hit
-	// replays the first solve's timings, which is the honest answer for
-	// a response that did no solving — while the per-request trace ID
-	// stays in the X-Trace-Id header only, keeping cached bodies
-	// byte-identical across requests. AttachSpan mirrors the tracer's
-	// phases as spans under "solve", so the flight-recorder trace shows
-	// the same phase breakdown the response stats report.
+	// The solve records into its own pooled trace, folded into the
+	// response's stats field, so the stats never depend on the flight
+	// recorder (off, sampled out, or with a full arena). Stats go in the
+	// cached body — a hit replays the first solve's timings, which is
+	// the honest answer for a response that did no solving — while the
+	// per-request trace ID stays in the X-Trace-Id header only, keeping
+	// cached bodies byte-identical across requests. When the request is
+	// traced, the solve's spans are copied under "solve", so the
+	// flight-recorder trace shows the phase breakdown the stats report.
 	solveSp := root.Child("solve")
-	if solveSp.Enabled() {
-		solveSp.SetInt("links", int64(pr.N()))
-		if q.Shards > 0 {
-			solveSp.SetInt("shards", int64(q.Shards))
-		}
+	if q.Shards > 0 {
+		solveSp.SetInt("shards", int64(q.Shards))
 	}
-	tr := obs.NewTracer().AttachSpan(solveSp)
-	ctx = obs.WithTracer(ctx, tr)
-	live := s.trackLiveSolve(ctx, a, pr.N(), tr)
-	schedule, err := solve(ctx, a, prep)
-	s.untrackLiveSolve(live)
+	var schedule sched.Schedule
+	stats, err := obs.TraceSolve(ctx, solveSp, func(ctx context.Context, t *obs.Trace) error {
+		live := s.trackLiveSolve(ctx, a, pr.N(), t)
+		defer s.untrackLiveSolve(live)
+		var err error
+		schedule, err = solve(ctx, a, prep, nil)
+		return err
+	})
 	setDenseRows(solveSp, pr)
 	solveSp.End()
 	if err != nil {
@@ -542,7 +529,7 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 		Feasible:         assessed.Feasible(),
 		SuccessProb:      assessed.SuccessProb,
 		ExpectedFailures: assessed.ExpectedFailures,
-		Stats:            tr.Stats(),
+		Stats:            stats,
 	}
 	verifySp.End()
 	if q.MCSlots > 0 {
@@ -576,6 +563,30 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 	return append(encoded, '\n'), nil
 }
 
+// decodeRequest reads r's body into v as one strict JSON value: at most
+// MaxBodyBytes (413 naming the limit), no unknown fields, no trailing
+// data (400). On failure it has written the error response and
+// returns false. Every JSON-body route decodes through it.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
+		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "trailing data after request")
+		return false
+	}
+	return true
+}
+
 // solverRefusedError marks a solver panic on otherwise-valid input —
 // a library-level contract refusal (Exact's MaxN cap is the documented
 // case), which the API reports as the client's problem.
@@ -590,35 +601,38 @@ type badRequestError struct{ msg string }
 func (e *badRequestError) Error() string { return e.msg }
 
 // solve runs the resolved algorithm through the prepared handle's
-// pooled scratch, converting solver panics into errors so a valid-JSON
-// request can never drop the connection: the library's panic contracts
-// (Exact refusing n > MaxN) are programmer guards, not acceptable
-// daemon behavior.
-func solve(ctx context.Context, a sched.Algorithm, prep *sched.Prepared) (s sched.Schedule, err error) {
+// pooled scratch, writing the active set into dst[:0], and converts
+// solver panics into errors so a valid-JSON request can never drop the
+// connection: the library's panic contracts (Exact refusing n > MaxN)
+// are programmer guards, not acceptable daemon behavior. Every solve
+// path — /v1/solve, batch, session create and session events — goes
+// through here, so a refusal is a 400 (or an error delta) everywhere.
+func solve(ctx context.Context, a sched.Algorithm, prep *sched.Prepared, dst []int) (s sched.Schedule, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &solverRefusedError{reason: fmt.Sprintf("solver %q refused the instance: %v", a.Name(), r)}
 		}
 	}()
-	return prep.ScheduleContext(ctx, a)
+	return prep.ScheduleInto(ctx, a, dst)
 }
 
 // liveSolve is one in-flight sharded solve, registered for the
-// lifetime of the solver call so GET /debug/state can snapshot its
-// tile fan-out from the (mutex-protected) tracer counters.
+// lifetime of the solver call so GET /debug/state can fold its tile
+// fan-out from the solve's own (mutex-protected) trace.
 type liveSolve struct {
 	traceID   string
 	algorithm string
 	shards    int // requested tile count; 0 = auto
 	links     int
 	started   time.Time
-	tr        *obs.Tracer
+	trace     *obs.Trace
 }
 
 // trackLiveSolve registers a solve in the live registry when the
 // resolved algorithm is tile-sharded; for every other algorithm it is
-// a no-op returning nil (untrackLiveSolve tolerates nil).
-func (s *Server) trackLiveSolve(ctx context.Context, a sched.Algorithm, links int, tr *obs.Tracer) *liveSolve {
+// a no-op returning nil (untrackLiveSolve tolerates nil). The solve's
+// trace must outlive the registration.
+func (s *Server) trackLiveSolve(ctx context.Context, a sched.Algorithm, links int, t *obs.Trace) *liveSolve {
 	sh, ok := a.(sched.Sharded)
 	if !ok {
 		return nil
@@ -629,7 +643,7 @@ func (s *Server) trackLiveSolve(ctx context.Context, a sched.Algorithm, links in
 		shards:    sh.Shards,
 		links:     links,
 		started:   time.Now(),
-		tr:        tr,
+		trace:     t,
 	}
 	s.liveMu.Lock()
 	s.liveSolves[ls] = struct{}{}

@@ -180,15 +180,43 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	defer ts.Close()
 	links, _ := json.Marshal(paperLinks(t, 3, 3))
 
-	cases := []struct {
+	type badRequest struct {
 		name, body string
 		wantCode   int
 		wantInBody string
-	}{
-		{"malformed json", `{"algorithm": "rle", "links": [`, http.StatusBadRequest, "malformed"},
+	}
+	// The decode rows hold for every JSON-body route, which share one
+	// request preamble; /v1/solve runs them with its own rows below.
+	decodeCases := []badRequest{
+		{"malformed json", `{"links": [`, http.StatusBadRequest, "malformed"},
 		{"wrong top-level type", `[1,2,3]`, http.StatusBadRequest, "malformed"},
-		{"unknown field", `{"algorithm":"rle","links":[],"bogus":1}`, http.StatusBadRequest, "bogus"},
-		{"trailing data", fmt.Sprintf(`{"algorithm":"rle","links":%s} extra`, links), http.StatusBadRequest, "trailing"},
+		{"unknown field", `{"links":[],"bogus":1}`, http.StatusBadRequest, "bogus"},
+		{"trailing data", fmt.Sprintf(`{"links":%s} extra`, links), http.StatusBadRequest, "trailing"},
+	}
+	check := func(t *testing.T, route string, tc badRequest) {
+		resp, err := ts.Client().Post(ts.URL+route, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp.Body)
+		if resp.StatusCode != tc.wantCode {
+			t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.wantCode, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("error envelope missing: %s", body)
+		}
+		if !strings.Contains(strings.ToLower(e.Error), tc.wantInBody) {
+			t.Errorf("error %q does not mention %q", e.Error, tc.wantInBody)
+		}
+	}
+	for _, route := range jsonRoutes[1:] {
+		for _, tc := range decodeCases {
+			t.Run(route[1:]+"/"+tc.name, func(t *testing.T) { check(t, route, tc) })
+		}
+	}
+
+	cases := append(decodeCases, []badRequest{
 		{"missing algorithm", fmt.Sprintf(`{"links":%s}`, links), http.StatusBadRequest, "missing algorithm"},
 		{"unknown algorithm", fmt.Sprintf(`{"algorithm":"nope","links":%s}`, links), http.StatusBadRequest, "unknown algorithm"},
 		{"bad alpha", fmt.Sprintf(`{"algorithm":"rle","alpha":1.5,"links":%s}`, links), http.StatusBadRequest, "alpha"},
@@ -197,25 +225,9 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 		{"negative mc slots", fmt.Sprintf(`{"algorithm":"rle","mc_slots":-1,"links":%s}`, links), http.StatusBadRequest, "mc_slots"},
 		{"invalid links", `{"algorithm":"rle","links":[{"sender":{"X":0,"Y":0},"receiver":{"X":0,"Y":0},"rate":1}]}`, http.StatusBadRequest, "links"},
 		{"duplicate sender", `{"algorithm":"rle","links":[{"sender":{"X":0,"Y":0},"receiver":{"X":1,"Y":0},"rate":1},{"sender":{"X":0,"Y":0},"receiver":{"X":2,"Y":0},"rate":1}]}`, http.StatusBadRequest, "links"},
-	}
+	}...)
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body := readAll(t, resp.Body)
-			if resp.StatusCode != tc.wantCode {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.wantCode, body)
-			}
-			var e errorResponse
-			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-				t.Fatalf("error envelope missing: %s", body)
-			}
-			if !strings.Contains(strings.ToLower(e.Error), tc.wantInBody) {
-				t.Errorf("error %q does not mention %q", e.Error, tc.wantInBody)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { check(t, "/v1/solve", tc) })
 	}
 
 	t.Run("method not allowed", func(t *testing.T) {
@@ -230,17 +242,30 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	})
 }
 
+// jsonRoutes are the routes that decode a JSON request body.
+var jsonRoutes = []string{"/v1/solve", "/v1/solve/batch", "/v1/session", "/v1/traffic"}
+
 func TestOversizedBodyGets413(t *testing.T) {
 	srv := New(Config{MaxBodyBytes: 2048})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp := postSolve(t, ts, SolveRequest{Algorithm: "rle", Links: paperLinks(t, 100, 4)})
-	body := readAll(t, resp.Body)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413: %s", resp.StatusCode, body)
+	defer srv.Close()
+	big, err := json.Marshal(map[string]any{"links": paperLinks(t, 100, 4)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "2048") {
-		t.Errorf("413 body should name the limit: %s", body)
+	for _, route := range jsonRoutes {
+		resp, err := ts.Client().Post(ts.URL+route, "application/json", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp.Body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", route, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "2048") {
+			t.Errorf("%s: 413 body should name the limit: %s", route, body)
+		}
 	}
 }
 
@@ -257,15 +282,22 @@ func TestInstanceTooLargeGets400(t *testing.T) {
 
 // TestSolverRefusalGets400 posts a valid instance the solver itself
 // refuses (Exact's MaxN panic contract): the daemon must answer 400,
-// not let the panic drop the connection.
+// not let the panic drop the connection — on /v1/solve and on session
+// create alike, since both solve through the same refusal guard.
 func TestSolverRefusalGets400(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer srv.Close()
 	resp := postSolve(t, ts, SolveRequest{Algorithm: "exact", Links: paperLinks(t, 27, 9)})
 	body := readAll(t, resp.Body)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "refused") {
 		t.Fatalf("status %d body %s, want 400 naming the refusal", resp.StatusCode, body)
+	}
+	resp = postSession(t, ts, SessionRequest{Algorithm: "exact", Links: paperLinks(t, 40, 9)})
+	body = readAll(t, resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "refused") {
+		t.Fatalf("session create: status %d body %s, want 400 naming the refusal", resp.StatusCode, body)
 	}
 	// The server must still be serving on the same connection pool.
 	resp = postSolve(t, ts, SolveRequest{Algorithm: "rle", Links: paperLinks(t, 6, 5)})

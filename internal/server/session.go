@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -216,18 +215,6 @@ func sessionFieldKey(base cacheKey, id string) cacheKey {
 	return cacheKey(h.Sum(nil))
 }
 
-// sessionSolve runs the session's algorithm through its prepared
-// handle with the session-owned result buffer, converting solver
-// panics into errors (same contract as solve).
-func sessionSolve(ctx context.Context, a sched.Algorithm, prep *sched.Prepared, dst []int) (sch sched.Schedule, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("solver %q refused the instance: %v", a.Name(), r)
-		}
-	}()
-	return prep.ScheduleInto(ctx, a, dst[:0])
-}
-
 // encodeDelta marshals a delta as one newline-terminated frame. Empty
 // difference sets encode as [] rather than null so clients see one
 // shape regardless of which reused buffer happened to be nil.
@@ -365,21 +352,7 @@ func janitorInterval(ttl time.Duration) time.Duration {
 // per-session and pinned), solve the initial schedule, register.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "trailing data after request")
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	sv := req.solveView()
@@ -454,7 +427,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	solveSp := root.Child("solve")
-	sch, err := sessionSolve(ctx, algo, prep, nil)
+	sch, err := solve(obs.ContextWithSpan(ctx, solveSp), algo, prep, nil)
 	setDenseRows(solveSp, prep.Problem())
 	solveSp.End()
 	s.pool.release()
@@ -565,7 +538,7 @@ func (s *Server) applySessionEvent(ctx context.Context, sess *session, ev *netwo
 	}
 
 	solveSp := esp.Child("solve")
-	sch, err := sessionSolve(ectx, sess.algo, sess.ed.Prepared(), sess.spare)
+	sch, err := solve(obs.ContextWithSpan(ectx, solveSp), sess.algo, sess.ed.Prepared(), sess.spare)
 	solveSp.End()
 	setDenseRows(esp, sess.ed.Prepared().Problem())
 	if err != nil {

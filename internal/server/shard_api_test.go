@@ -162,18 +162,25 @@ func TestBatchShards(t *testing.T) {
 }
 
 // TestDebugStateShardSolves exercises the live sharded-solve registry
-// directly: with a registered in-flight solve /debug/state reports its
-// fan-out counters, and after untracking the section disappears.
+// directly: with a registered in-flight solve /debug/state folds its
+// fan-out counters from the solve's trace — including the counters of
+// tile workers whose spans are still open — and after untracking the
+// section disappears.
 func TestDebugStateShardSolves(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	tr := obs.NewTracer()
-	tr.Count(obs.KeyTiles, 16)
-	tr.Count(obs.KeyTilesSolved, 7)
-	tr.Count(obs.KeyTileAdmitted, 123)
-	tr.Count(obs.KeyBoundaryRepairs, 4)
+	tr := obs.NewTraceCap("", "solve", 16)
+	part := tr.Root().Child("tile_partition")
+	part.Add(obs.KeyTiles, 16)
+	part.End()
+	for _, w := range []struct{ solved, admitted int64 }{{4, 70}, {3, 53}} { // two workers, mid-solve
+		sp := tr.Root().Child("tile_solve")
+		sp.Add(obs.KeyTilesSolved, w.solved)
+		sp.Add(obs.KeyTileAdmitted, w.admitted)
+	}
+	tr.Root().Child("tile_merge").Add(obs.KeyBoundaryRepairs, 4)
 	ctx := obs.WithTraceID(t.Context(), "0123456789abcdef0123456789abcdef")
 	live := srv.trackLiveSolve(ctx, sched.Sharded{Shards: 16}, 5000, tr)
 	if live == nil {

@@ -30,13 +30,25 @@ go test -race -short ./...
 
 echo "== observability race pass"
 # Re-run the obs registry and serving stack uncached: these suites hold
-# the scrape-vs-record and tracer concurrency race tests.
+# the scrape-vs-record and span/counter concurrency race tests.
 go test -race -count=1 ./internal/obs ./internal/server
 
 echo "== obs overhead gate"
-# TestTracerDisabledAllocs is the hard 0 allocs/op gate on the nil
-# tracer; the benchmark run alongside prints the ns/op evidence.
-go test -run TestTracerDisabledAllocs -bench BenchmarkTracerDisabled -benchtime 1000x -count=1 ./internal/obs
+# TestSpanZeroAlloc is the hard 0 allocs/op gate on the span lifecycle
+# (child, attributes, counter Add, End) for both a recording and the
+# inert span every untraced solve runs against; BenchmarkSpanInert run
+# alongside prints the ns/op evidence.
+go test -run TestSpanZeroAlloc -bench BenchmarkSpanInert -benchtime 1000x -count=1 ./internal/obs
+
+echo "== solver conformance gate"
+# Under -race, uncached: the one solver-contract table (every
+# registered algorithm plus extra configurations, n=24 and n=250, dense
+# and sparse; every entry point bit-identical, deterministic,
+# Verify-clean for the fading-aware algorithms, shards=1 equal to
+# greedy, dead contexts and unknown names refused) and the stats golden
+# (phase names and counters folded from each solve's span tree equal
+# the recorded testdata/solve_stats_golden.json).
+go test -race -run 'TestSolverConformance|TestSolveStatsGolden' -count=1 ./internal/sched/
 
 echo "== prepared zero-alloc gate"
 # The steady-state 0 allocs/op contract on greedy/RLE/diversity/DLS
