@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -33,12 +34,52 @@ func main() {
 	}
 }
 
+// experiment is one runnable id. run is nil for thm31, which prints
+// its own table (printThm31) instead of a ResultTable.
+type experiment struct {
+	id  string
+	run func(fadingrls.ExperimentOptions) (*fadingrls.ResultTable, error)
+}
+
+// catalog lists every runnable experiment in `-fig all` order: the
+// spec sweeps sorted by id, then the custom tables.
+func catalog() []experiment {
+	specs := fadingrls.Experiments()
+	ids := make([]string, 0, len(specs))
+	for id := range specs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	out := make([]experiment, 0, len(ids)+7)
+	for _, id := range ids {
+		spec := specs[id]
+		out = append(out, experiment{id, func(o fadingrls.ExperimentOptions) (*fadingrls.ResultTable, error) {
+			return fadingrls.RunExperiment(spec, o)
+		}})
+	}
+	return append(out,
+		experiment{"ratio", fadingrls.RunRatioTable},
+		experiment{"thm31", nil},
+		experiment{"multislot", fadingrls.RunMultislotTable},
+		experiment{"traffic", fadingrls.RunTrafficTable},
+		experiment{"stability", fadingrls.RunStabilityTable},
+		experiment{"staleness", fadingrls.RunStalenessTable},
+		experiment{"diversity", fadingrls.RunDiversityTable},
+	)
+}
+
 // run executes the CLI with explicit args and output so tests can
 // drive it end to end.
 func run(args []string, out io.Writer) error {
+	all := catalog()
+	known := make([]string, len(all))
+	for i, e := range all {
+		known[i] = e.id
+	}
+	have := strings.Join(known, ", ")
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		fig       = fs.String("fig", "all", "experiment id (fig5a, fig5b, fig6a, fig6b, ratio, thm31, ablation-*, or 'all')")
+		fig       = fs.String("fig", "all", "comma-separated experiment ids, or 'all' ("+have+")")
 		seed      = fs.Uint64("seed", 2017, "base seed (2017 reproduces EXPERIMENTS.md)")
 		instances = fs.Int("instances", 20, "independent deployments per sweep point")
 		slots     = fs.Int("slots", 100, "Monte-Carlo slots per schedule")
@@ -66,25 +107,16 @@ func run(args []string, out io.Writer) error {
 		Seed: *seed, Instances: *instances, Slots: *slots,
 		FieldOptions: []fadingrls.ProblemOption{fieldOpt},
 	}
-	specs := fadingrls.Experiments()
-
-	custom := map[string]bool{"ratio": true, "thm31": true, "multislot": true, "traffic": true, "stability": true, "staleness": true, "diversity": true}
-	var ids []string
-	switch {
-	case *fig == "all":
-		for id := range specs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		ids = append(ids, "ratio", "thm31", "multislot", "traffic", "stability", "staleness", "diversity")
-	default:
+	todo := all
+	if *fig != "all" {
+		todo = nil
 		for _, id := range strings.Split(*fig, ",") {
 			id = strings.TrimSpace(id)
-			if _, ok := specs[id]; !ok && !custom[id] {
-				return fmt.Errorf("unknown experiment %q (have %v, ratio, thm31, multislot, traffic)",
-					id, sortedKeys(specs))
+			i := slices.IndexFunc(all, func(e experiment) bool { return e.id == id })
+			if i < 0 {
+				return fmt.Errorf("unknown experiment %q (have %s)", id, have)
 			}
-			ids = append(ids, id)
+			todo = append(todo, all[i])
 		}
 	}
 
@@ -98,7 +130,8 @@ func run(args []string, out io.Writer) error {
 	if *traceOut != "" {
 		spanTrace = obs.NewTraceCap(obs.NewTraceID(), "experiments", 1<<12)
 	}
-	for _, id := range ids {
+	for _, e := range todo {
+		id := e.id
 		logger.Info("experiment start", slog.String("id", id),
 			slog.Int("instances", *instances), slog.Int("slots", *slots))
 		start := time.Now()
@@ -107,60 +140,10 @@ func run(args []string, out io.Writer) error {
 			expSp = spanTrace.Root().Child("experiment")
 			expSp.SetStr("id", id)
 		}
-		switch id {
-		case "ratio":
-			tab, err := fadingrls.RunRatioTable(opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(out, tab, id, ec); err != nil {
-				return err
-			}
-		case "thm31":
-			rows := fadingrls.RunThm31Table(*seed, *trials)
-			printThm31(out, rows)
-		case "multislot":
-			tab, err := fadingrls.RunMultislotTable(opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(out, tab, id, ec); err != nil {
-				return err
-			}
-		case "traffic":
-			tab, err := fadingrls.RunTrafficTable(opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(out, tab, id, ec); err != nil {
-				return err
-			}
-		case "stability":
-			tab, err := fadingrls.RunStabilityTable(opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(out, tab, id, ec); err != nil {
-				return err
-			}
-		case "diversity":
-			tab, err := fadingrls.RunDiversityTable(opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(out, tab, id, ec); err != nil {
-				return err
-			}
-		case "staleness":
-			tab, err := fadingrls.RunStalenessTable(opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(out, tab, id, ec); err != nil {
-				return err
-			}
-		default:
-			tab, err := fadingrls.RunExperiment(specs[id], opts)
+		if e.run == nil {
+			printThm31(out, fadingrls.RunThm31Table(*seed, *trials))
+		} else {
+			tab, err := e.run(opts)
 			if err != nil {
 				return err
 			}
@@ -274,13 +257,4 @@ func printThm31(out io.Writer, rows []fadingrls.Thm31Row) {
 			r.Alpha, r.Interferers, r.ClosedForm, r.Empirical, r.Deviations())
 	}
 	fmt.Fprintln(out)
-}
-
-func sortedKeys(m map[string]fadingrls.ExperimentSpec) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

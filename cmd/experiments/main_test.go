@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -107,10 +108,23 @@ func TestCustomTables(t *testing.T) {
 	}
 }
 
+// TestUnknownFigureErrors: an unknown id fails, and the error names
+// every runnable id, in `-fig all` order.
 func TestUnknownFigureErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-fig", "fig99"}, &out); err == nil {
-		t.Error("unknown figure accepted")
+	err := run([]string{"-fig", "fig99"}, &out)
+	if err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+	_, have, ok := strings.Cut(err.Error(), "(have ")
+	if !ok {
+		t.Fatalf("error does not list the runnable ids: %v", err)
+	}
+	want := []string{"ablation-c2", "ablation-classes", "ablation-dls", "fig5a", "fig5a-analytic",
+		"fig5b", "fig6a", "fig6b", "ratio", "thm31", "multislot", "traffic", "stability",
+		"staleness", "diversity"}
+	if got := strings.Split(strings.TrimSuffix(have, ")"), ", "); !slices.Equal(got, want) {
+		t.Errorf("error lists %q, want %q", got, want)
 	}
 }
 

@@ -17,9 +17,8 @@
 // README's "Serving" and "Streaming sessions" sections for the
 // schemas.
 // GET /v1/algorithms lists the registry; GET /metrics serves
-// Prometheus text exposition; /debug/vars serves expvar metrics; the
-// debug address additionally serves net/http/pprof and should stay on
-// loopback. Structured access logs (-log-format, -log-level) carry the
+// Prometheus text exposition; the debug address additionally serves
+// net/http/pprof and should stay on loopback. Structured access logs (-log-format, -log-level) carry the
 // same per-request trace ID the X-Trace-Id response header reports.
 // Every request is span-traced into a bounded flight recorder
 // (-trace-ring, -trace-sample): GET /debug/requests lists recent and
@@ -32,7 +31,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -58,11 +55,6 @@ func main() {
 	}
 }
 
-// publishOnce guards the process-global expvar registration so tests
-// can call run repeatedly in one process (expvar.Publish panics on
-// duplicate names).
-var publishOnce sync.Once
-
 // run boots the daemon with explicit args and log sink, serves until
 // ctx is canceled, then drains in-flight requests. Tests drive it end
 // to end: the actual listen addresses are announced on out.
@@ -70,7 +62,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "API listen address")
-		debugAddr = fs.String("debug-addr", "127.0.0.1:6060", "private pprof/metrics listen address ('' disables)")
+		debugAddr = fs.String("debug-addr", "127.0.0.1:6060", "private pprof listen address ('' disables)")
 		workers   = fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 		cacheMB   = fs.Int("cache-mb", 4, "result cache budget in MiB of response bodies (negative disables)")
 		prepCache = fs.Int("prep-cache", 16, "prepared interference-field cache capacity in link sets (negative disables)")
@@ -112,7 +104,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		TraceSampleEvery:  *traceSmpl,
 		Logger:            logger,
 	})
-	publishOnce.Do(func() { expvar.Publish("schedd", srv.Metrics().Vars()) })
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -135,7 +126,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			httpSrv.Close()
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		fmt.Fprintf(out, "schedd: debug (pprof, expvar) on %s\n", dln.Addr())
+		fmt.Fprintf(out, "schedd: debug (pprof) on %s\n", dln.Addr())
 		debugSrv = &http.Server{Handler: srv.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
 		go func() {
 			if err := debugSrv.Serve(dln); !errors.Is(err, http.ErrServerClosed) {

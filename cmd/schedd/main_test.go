@@ -55,7 +55,7 @@ func TestServeSmoke(t *testing.T) {
 	for {
 		if m := listenRe.FindStringSubmatch(out.String()); m != nil && strings.Contains(out.String(), "debug") {
 			apiAddr = m[1]
-			if dm := regexp.MustCompile(`debug \(pprof, expvar\) on (\S+)`).FindStringSubmatch(out.String()); dm != nil {
+			if dm := regexp.MustCompile(`debug \(pprof\) on (\S+)`).FindStringSubmatch(out.String()); dm != nil {
 				debugAddr = dm[1]
 				break
 			}
@@ -101,22 +101,29 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("smoke solve wrong: status %d, %+v", resp.StatusCode, solved)
 	}
 
-	// The private port serves pprof and the metric map.
-	resp, err = http.Get(fmt.Sprintf("http://%s/debug/vars", debugAddr))
+	// The private port serves pprof; the API port's /metrics counted
+	// the smoke request.
+	resp, err = http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", debugAddr))
 	if err != nil {
-		t.Fatalf("debug vars failed: %v", err)
+		t.Fatalf("debug pprof failed: %v", err)
 	}
-	var vars struct {
-		Schedd struct {
-			Requests int64 `json:"requests_total"`
-		} `json:"schedd"`
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("debug pprof = %d, want 200", resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	resp, err = http.Get(fmt.Sprintf("http://%s/metrics", apiAddr))
+	if err != nil {
+		t.Fatalf("metrics scrape failed: %v", err)
+	}
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if vars.Schedd.Requests < 1 {
-		t.Errorf("metrics did not count the smoke request: %+v", vars)
+	m := regexp.MustCompile(`(?m)^schedd_requests_total (\d+)$`).FindSubmatch(exposition)
+	if m == nil || string(m[1]) == "0" {
+		t.Errorf("metrics did not count the smoke request:\n%s", exposition)
 	}
 
 	// Clean shutdown on signal (ctx cancel stands in for SIGTERM).

@@ -10,5 +10,6 @@
 // graphical) and as CSV for external plotting.
 //
 // Every cell of every table is a deterministic function of the spec
-// and the base seed.
+// and the base seed, bit for bit at any worker count: results fold
+// into the table in (x, instance) order.
 package experiment

@@ -70,25 +70,42 @@ func TestSpecsRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic: a table's CSV — mean, ci95 and n of every
+// cell — is byte-identical at any worker count, for Spec sweeps (a
+// pure metric and a Monte-Carlo one) and for custom tables alike.
 func TestRunDeterministic(t *testing.T) {
-	spec := Fig6a()
-	spec.Xs = []float64{100, 200} // trim for speed
-	a, err := Run(spec, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := quickOpts()
-	opts.Workers = 2
-	b, err := Run(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range a.Order {
-		for i := range a.X {
-			if a.Cell(s, i).Mean() != b.Cell(s, i).Mean() {
-				t.Errorf("series %s x=%v differs across worker counts", s, a.X[i])
+	fig6a := Fig6a()
+	fig6a.Xs = []float64{100, 200} // trim for speed
+	fig5a := Fig5a()
+	fig5a.Xs = []float64{100, 300}
+	for _, tc := range []struct {
+		name string
+		run  func(Options) (*Table, error)
+	}{
+		{"fig6a", func(o Options) (*Table, error) { return Run(fig6a, o) }},
+		{"fig5a", func(o Options) (*Table, error) { return Run(fig5a, o) }},
+		{"staleness", StalenessTable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				opts := quickOpts()
+				opts.Workers = workers
+				tab, err := tc.run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var csv strings.Builder
+				if err := tab.RenderCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					want = csv.String()
+				} else if got := csv.String(); got != want {
+					t.Errorf("workers=%d CSV differs from workers=1:\n%s\nwant:\n%s", workers, got, want)
+				}
 			}
-		}
+		})
 	}
 }
 

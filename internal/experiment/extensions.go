@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/mobility"
 	"repro/internal/network"
@@ -202,7 +201,6 @@ func StalenessTable(opts Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		pr := prep.Problem()
 		schedules := make([]sched.Schedule, len(algos))
 		for ai, a := range algos {
 			schedules[ai] = prep.Schedule(a)
@@ -214,68 +212,23 @@ func StalenessTable(opts Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		// The tracker patches the same problem the stale schedules came
-		// from, so the displaced-geometry evaluation needs no second
-		// O(n²) field build — Rebind updates only the moved factors.
-		tk, err := mobility.NewTracker(tr, pr, 0)
+		tr.Advance(int(stal[xi]))
+		snap, err := tr.Snapshot()
 		if err != nil {
 			return err
 		}
-		if _, err := tk.Advance(int(stal[xi])); err != nil {
+		// The displaced geometry gets a field of its own: the dense
+		// build is O(n) with rows filled on first read, and its factors
+		// equal a rebound field's bit for bit.
+		displaced, err := sched.Prepare(snap, params)
+		if err != nil {
 			return err
 		}
+		pr := displaced.Problem()
 		for ai := range algos {
 			add(names[ai], sched.ExpectedFailures(pr, schedules[ai]))
 		}
-		fresh := tk.Prepared().Schedule(sched.RLE{})
-		add("fresh-rle", sched.ExpectedFailures(pr, fresh))
+		add("fresh-rle", sched.ExpectedFailures(pr, displaced.Schedule(sched.RLE{})))
 		return nil
 	})
-}
-
-func pairIndex(xi, rep int) uint64 {
-	return uint64(xi)*1_000_003 + uint64(rep)
-}
-
-// runCustom is the shared fan-out skeleton of the non-Spec tables: one
-// job per (x, instance), results folded under a mutex.
-func runCustom(table *Table, xs []float64, opts Options, job func(xi, rep int, add func(series string, y float64)) error) (*Table, error) {
-	type jb struct{ xi, rep int }
-	jobs := make(chan jb)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				err := job(j.xi, j.rep, func(series string, y float64) {
-					mu.Lock()
-					table.Add(series, j.xi, y)
-					mu.Unlock()
-				})
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for xi := range xs {
-		for rep := 0; rep < opts.Instances; rep++ {
-			jobs <- jb{xi, rep}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return table, nil
 }

@@ -43,6 +43,59 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// pairIndex numbers an (x, instance) pair; jobs seed their deployments
+// and channel draws from it.
+func pairIndex(xi, rep int) uint64 {
+	return uint64(xi)*1_000_003 + uint64(rep)
+}
+
+// runCustom is the fan-out skeleton every table shares: one job per
+// (x, instance) pair over opts.Workers goroutines. Each job appends
+// its (series, y) observations to its own slot, at index
+// xi*Instances+rep; once the pool drains, the slots fold into table in
+// index order and the first error in that order is returned. Cell
+// sums therefore accumulate in the same order at any worker count, so
+// every table equals its one-worker run bit for bit.
+func runCustom(table *Table, xs []float64, opts Options, job func(xi, rep int, add func(series string, y float64)) error) (*Table, error) {
+	type observation struct {
+		series string
+		y      float64
+	}
+	type slot struct {
+		obs []observation
+		err error
+	}
+	slots := make([]slot, len(xs)*max(opts.Instances, 0))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				sl := &slots[k]
+				sl.err = job(k/opts.Instances, k%opts.Instances, func(series string, y float64) {
+					sl.obs = append(sl.obs, observation{series, y})
+				})
+			}
+		}()
+	}
+	for k := range slots {
+		jobs <- k
+	}
+	close(jobs)
+	wg.Wait()
+	for k, sl := range slots {
+		if sl.err != nil {
+			return nil, sl.err
+		}
+		for _, o := range sl.obs {
+			table.Add(o.series, k/opts.Instances, o.y)
+		}
+	}
+	return table, nil
+}
+
 // Metric evaluates one schedule on one instance into the y-value of a
 // figure. mcSeed/slots parameterize Monte-Carlo metrics; pure metrics
 // ignore them.
@@ -89,10 +142,10 @@ type Spec struct {
 
 // Run executes the spec: Instances independent deployments per
 // x-value, every algorithm on each, metrics folded into a Table.
-// Work fans out over (x, instance) pairs; every pair derives its
-// deployment from (Seed, "deploy", pairIndex) and its channel
-// realizations from a seed mixed from the same pair index, so the
-// table is reproducible at any worker count.
+// Every (x, instance) pair derives its deployment from (Seed,
+// "deploy", pairIndex) and its channel realizations from a seed mixed
+// from the same pair index, and runCustom folds the pairs in index
+// order, so the table is reproducible at any worker count.
 func Run(spec Spec, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	names := make([]string, len(spec.Algorithms))
@@ -100,66 +153,29 @@ func Run(spec Spec, opts Options) (*Table, error) {
 		names[i] = a.Name()
 	}
 	table := NewTable(spec.Title, spec.XLabel, spec.YLabel, spec.Xs, names)
-
-	type job struct{ xi, rep int }
-	jobs := make(chan job)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
+	return runCustom(table, spec.Xs, opts, func(xi, rep int, add func(series string, y float64)) error {
+		x := spec.Xs[xi]
+		cfg, params := spec.Configure(x)
+		pairIdx := pairIndex(xi, rep)
+		ls, err := network.Generate(cfg, opts.Seed, pairIdx)
+		if err != nil {
+			return fmt.Errorf("experiment %s x=%v rep=%d: %w", spec.ID, x, rep, err)
 		}
-	}
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				x := spec.Xs[jb.xi]
-				cfg, params := spec.Configure(x)
-				pairIdx := uint64(jb.xi)*1_000_003 + uint64(jb.rep)
-				ls, err := network.Generate(cfg, opts.Seed, pairIdx)
-				if err != nil {
-					fail(fmt.Errorf("experiment %s x=%v rep=%d: %w", spec.ID, x, jb.rep, err))
-					continue
-				}
-				// One prepared handle per deployment: the interference
-				// field is built once and every algorithm in the series
-				// solves through pooled scratch on top of it.
-				prep, err := sched.Prepare(ls, params, opts.FieldOptions...)
-				if err != nil {
-					fail(fmt.Errorf("experiment %s x=%v rep=%d: %w", spec.ID, x, jb.rep, err))
-					continue
-				}
-				pr := prep.Problem()
-				for ai, a := range spec.Algorithms {
-					s := prep.Schedule(a)
-					y, err := spec.Metric(pr, s, opts.Seed^(pairIdx*2654435761+uint64(ai)), opts.Slots)
-					if err != nil {
-						fail(fmt.Errorf("experiment %s x=%v rep=%d algo=%s: %w", spec.ID, x, jb.rep, a.Name(), err))
-						continue
-					}
-					mu.Lock()
-					table.Add(names[ai], jb.xi, y)
-					mu.Unlock()
-				}
+		// One prepared handle per deployment: the interference field is
+		// built once and every algorithm in the series solves through
+		// pooled scratch on top of it.
+		prep, err := sched.Prepare(ls, params, opts.FieldOptions...)
+		if err != nil {
+			return fmt.Errorf("experiment %s x=%v rep=%d: %w", spec.ID, x, rep, err)
+		}
+		pr := prep.Problem()
+		for ai, a := range spec.Algorithms {
+			y, err := spec.Metric(pr, prep.Schedule(a), opts.Seed^(pairIdx*2654435761+uint64(ai)), opts.Slots)
+			if err != nil {
+				return fmt.Errorf("experiment %s x=%v rep=%d algo=%s: %w", spec.ID, x, rep, a.Name(), err)
 			}
-		}()
-	}
-	for xi := range spec.Xs {
-		for rep := 0; rep < opts.Instances; rep++ {
-			jobs <- job{xi, rep}
+			add(names[ai], y)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return table, nil
+		return nil
+	})
 }

@@ -11,9 +11,7 @@ import (
 )
 
 // Editor applies streaming geometry events — move, add, remove, retune
-// — onto a live Prepared handle. It is the client-driven counterpart
-// of Tracker: where Tracker advances a synthetic Trace and rebinds
-// whatever drifted, Editor applies one explicit event at a time and
+// — onto a live Prepared handle, one explicit event at a time, and
 // picks the cheapest update the event admits:
 //
 //   - move goes through Problem.Rebind — the dense backend drops the

@@ -1,8 +1,8 @@
 // Package obs is the repository's unified observability layer: a typed
-// metrics registry with Prometheus text exposition and an expvar
-// bridge, span traces threaded through contexts (request pipelines and
-// solver phases alike), and log/slog helpers that correlate every log
-// line with a per-request trace ID.
+// metrics registry with Prometheus text exposition, span traces
+// threaded through contexts (request pipelines and solver phases
+// alike), and log/slog helpers that correlate every log line with a
+// per-request trace ID.
 //
 // The package is stdlib-only by design — it must be importable from
 // the innermost solver loops (internal/sched) without dragging in any

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -46,28 +45,13 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histWindow is the sliding sample window a Histogram keeps alongside
-// its buckets, feeding the quantile estimates the expvar bridge
-// reports. Sized like the latency ring it replaced in
-// internal/server: large enough for stable p99, small enough that the
-// quantiles track the current load mix.
-const histWindow = 1024
-
-// Histogram is a fixed-bucket cumulative histogram plus a sliding
-// sample window. Observe is lock-free on the bucket side (atomics) and
-// takes a short mutex for the window; scrapes snapshot under that
-// mutex and do all sorting outside it, so a slow scrape never stalls
-// recording.
+// Histogram is a fixed-bucket cumulative histogram. Observe is
+// lock-free (atomics), so recording never waits on a scrape.
 type Histogram struct {
 	bounds  []float64       // ascending upper bounds
 	counts  []atomic.Uint64 // len(bounds)+1; last is +Inf
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-add
-
-	mu     sync.Mutex
-	ring   [histWindow]float64
-	next   int
-	filled int
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -95,13 +79,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	h.mu.Lock()
-	h.ring[h.next] = v
-	h.next = (h.next + 1) % histWindow
-	if h.filled < histWindow {
-		h.filled++
-	}
-	h.mu.Unlock()
 }
 
 // Count returns the all-time observation count.
@@ -110,23 +87,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the all-time sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// UpperBounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) UpperBounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// Sample returns a copy of the sliding window of recent observations,
-// unordered. The snapshot is taken under the window lock; callers sort
-// or aggregate outside it (quantile estimation lives in the caller so
-// this package stays dependency-free).
-func (h *Histogram) Sample() []float64 {
-	h.mu.Lock()
-	out := make([]float64, h.filled)
-	copy(out, h.ring[:h.filled])
-	h.mu.Unlock()
-	return out
-}
-
 // cumulative returns the per-bucket cumulative counts aligned with
-// UpperBounds plus the +Inf total as the final element.
+// bounds plus the +Inf total as the final element.
 func (h *Histogram) cumulative() []uint64 {
 	out := make([]uint64, len(h.counts))
 	var run uint64
@@ -347,37 +309,4 @@ func (r *Registry) snapshot() []*family {
 		out[i] = cp
 	}
 	return out
-}
-
-// Expvar returns an expvar.Var rendering the registry as one JSON
-// object: counters and gauges as numbers, histograms as
-// {"count":N,"sum":S}. Labeled series key as name{k=v,...}. This is
-// the bridge that lets a stock /debug/vars scraper see obs metrics.
-func (r *Registry) Expvar() expvar.Var {
-	return expvar.Func(func() interface{} {
-		out := map[string]interface{}{}
-		for _, f := range r.snapshot() {
-			for _, e := range f.entries {
-				key := f.name
-				if len(e.labels) > 0 {
-					parts := make([]string, len(e.labels))
-					for i, l := range e.labels {
-						parts[i] = l.Key + "=" + l.Value
-					}
-					key += "{" + strings.Join(parts, ",") + "}"
-				}
-				switch {
-				case e.c != nil:
-					out[key] = e.c.Value()
-				case e.gf != nil:
-					out[key] = e.gf()
-				case e.g != nil:
-					out[key] = e.g.Value()
-				case e.h != nil:
-					out[key] = map[string]interface{}{"count": e.h.Count(), "sum": e.h.Sum()}
-				}
-			}
-		}
-		return out
-	})
 }

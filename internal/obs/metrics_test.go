@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -79,26 +77,10 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	}
 }
 
-func TestHistogramSampleWindow(t *testing.T) {
-	h := newHistogram(nil)
-	for i := 0; i < histWindow+100; i++ {
-		h.Observe(float64(i))
-	}
-	s := h.Sample()
-	if len(s) != histWindow {
-		t.Fatalf("sample length %d, want %d", len(s), histWindow)
-	}
-	// The window must hold the most recent histWindow observations.
-	sort.Float64s(s)
-	if s[0] != 100 || s[len(s)-1] != float64(histWindow+99) {
-		t.Errorf("window range [%v, %v], want [100, %v]", s[0], s[len(s)-1], histWindow+99)
-	}
-}
-
 // TestHistogramScrapeVsRecordRace hammers Observe from many writers
-// while scraping Sample and the exposition concurrently; under -race
+// while scraping the exposition concurrently; under -race
 // (scripts/check.sh) this is the scrape-vs-record data-race test for
-// the snapshot-under-lock / sort-outside design.
+// the lock-free bucket counters.
 func TestHistogramScrapeVsRecordRace(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("race_seconds", "race", nil)
@@ -114,8 +96,6 @@ func TestHistogramScrapeVsRecordRace(t *testing.T) {
 		}(w)
 	}
 	for scrape := 0; scrape < 50; scrape++ {
-		s := h.Sample()
-		sort.Float64s(s) // the sort happens outside the histogram lock
 		r.WritePrometheus(discardWriter{})
 	}
 	wg.Wait()
@@ -127,28 +107,3 @@ func TestHistogramScrapeVsRecordRace(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-func TestExpvarBridge(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "a").Add(3)
-	r.Gauge("b", "b").Set(-2)
-	r.GaugeFunc("c", "c", func() float64 { return 1.5 })
-	h := r.Histogram("d_seconds", "d", []float64{1})
-	h.Observe(0.5)
-	r.Counter("e_total", "e", Label{"k", "v"}).Inc()
-
-	var out map[string]interface{}
-	if err := json.Unmarshal([]byte(r.Expvar().String()), &out); err != nil {
-		t.Fatalf("expvar bridge not valid JSON: %v", err)
-	}
-	if out["a_total"].(float64) != 3 || out["b"].(float64) != -2 || out["c"].(float64) != 1.5 {
-		t.Errorf("scalar values wrong: %v", out)
-	}
-	hist := out["d_seconds"].(map[string]interface{})
-	if hist["count"].(float64) != 1 || hist["sum"].(float64) != 0.5 {
-		t.Errorf("histogram bridge wrong: %v", hist)
-	}
-	if out[`e_total{k=v}`].(float64) != 1 {
-		t.Errorf("labeled key wrong: %v", out)
-	}
-}

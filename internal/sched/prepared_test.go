@@ -166,46 +166,81 @@ func TestPreparedConcurrent(t *testing.T) {
 	}
 }
 
-// TestPreparedRebindRefreshesCaches drives the mobility contract: after
-// Problem.Rebind the handle's geometry caches (sender index, median
-// length) must refresh, so solves match a problem built fresh from the
-// moved link set.
+// TestPreparedRebindRefreshesCaches drives the mobility contract on
+// both backends: after Problem.Rebind every factor and noise term
+// equals a fresh build's on the moved link set (the dense backend
+// drops the moved rows, the sparse one rebuilds), and the handle's
+// geometry caches (sender index, median length) refresh, so solves
+// match the fresh problem too.
 func TestPreparedRebindRefreshesCaches(t *testing.T) {
-	ls := preparedTestInstance(t, 120, 5)
-	p := radio.DefaultParams()
-	prep, err := Prepare(ls, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = prep.Schedule(RLE{}) // warm the caches at generation 0
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{{"dense", nil}, {"sparse", []Option{WithSparseField(SparseOptions{})}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ls := preparedTestInstance(t, 120, 5)
+			p := radio.DefaultParams()
+			prep, err := Prepare(ls, p, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = prep.Schedule(RLE{}) // warm the caches at generation 0
 
-	// Move every link by a fixed offset (identities preserved).
-	links := ls.Links()
-	moved := make([]int, len(links))
-	for i := range links {
-		links[i].Sender.X += 11
-		links[i].Sender.Y += 7
-		links[i].Receiver.X += 11
-		links[i].Receiver.Y += 7
-		moved[i] = i
-	}
-	ls2, err := network.NewLinkSet(links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prep.Problem().Rebind(ls2, moved); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewProblem(ls2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []Algorithm{RLE{}, Greedy{}} {
-		want := a.Schedule(fresh)
-		got := prep.Schedule(a)
-		if !got.Equal(want) {
-			t.Fatalf("%s after rebind: prepared %v != fresh %v", a.Name(), got.Active, want.Active)
-		}
+			// Move every link by its own offset (identities preserved),
+			// so the interference geometry really changes.
+			links := ls.Links()
+			moved := make([]int, len(links))
+			for i := range links {
+				dx, dy := 11+float64(i%7)*5, 7-float64(i%3)*4
+				links[i].Sender.X += dx
+				links[i].Sender.Y += dy
+				links[i].Receiver.X += dx
+				links[i].Receiver.Y += dy
+				moved[i] = i
+			}
+			ls2, err := network.NewLinkSet(links)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prep.Problem().Rebind(ls2, moved); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewProblem(ls2, p, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := prep.Problem()
+			for j := 0; j < fresh.N(); j++ {
+				if got.NoiseTerm(j) != fresh.NoiseTerm(j) {
+					t.Fatalf("NoiseTerm(%d) = %v, fresh %v", j, got.NoiseTerm(j), fresh.NoiseTerm(j))
+				}
+				for i := 0; i < fresh.N(); i++ {
+					if got.Factor(i, j) != fresh.Factor(i, j) {
+						t.Fatalf("Factor(%d,%d) = %v, fresh %v", i, j, got.Factor(i, j), fresh.Factor(i, j))
+					}
+				}
+			}
+			for _, a := range []Algorithm{RLE{}, Greedy{}} {
+				want := a.Schedule(fresh)
+				got := prep.Schedule(a)
+				if !got.Equal(want) {
+					t.Fatalf("%s after rebind: prepared %v != fresh %v", a.Name(), got.Active, want.Active)
+				}
+			}
+
+			// Links keep their identities: a set of another size or a
+			// moved index out of range is refused.
+			short, err := network.NewLinkSet(links[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Rebind(short, nil); err == nil {
+				t.Error("rebind onto a smaller link set accepted")
+			}
+			if err := got.Rebind(ls2, []int{len(links)}); err == nil {
+				t.Error("rebind with an out-of-range moved index accepted")
+			}
+		})
 	}
 }
 

@@ -105,7 +105,7 @@ func TestBatchBuildsFieldOnce(t *testing.T) {
 	if out.FieldBuilds != 1 {
 		t.Errorf("first batch: field_builds = %d, want 1", out.FieldBuilds)
 	}
-	if n := srv.Metrics().PreparedBuilds(); n != 1 {
+	if n := srv.metrics.PreparedBuilds(); n != 1 {
 		t.Errorf("first batch: PreparedBuilds() = %d, want 1", n)
 	}
 	for i, r := range out.Results {
@@ -121,7 +121,7 @@ func TestBatchBuildsFieldOnce(t *testing.T) {
 	if out2.FieldBuilds != 0 {
 		t.Errorf("repeat batch: field_builds = %d, want 0", out2.FieldBuilds)
 	}
-	if n := srv.Metrics().PreparedBuilds(); n != 1 {
+	if n := srv.metrics.PreparedBuilds(); n != 1 {
 		t.Errorf("repeat batch: PreparedBuilds() = %d, want 1 still", n)
 	}
 	for i := range out.Results {
@@ -137,7 +137,7 @@ func TestBatchBuildsFieldOnce(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("single solve after batch: status %d", resp.StatusCode)
 	}
-	if n := srv.Metrics().PreparedBuilds(); n != 1 {
+	if n := srv.metrics.PreparedBuilds(); n != 1 {
 		t.Errorf("single solve after batch rebuilt the field (builds = %d)", n)
 	}
 

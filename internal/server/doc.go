@@ -21,11 +21,11 @@
 // identical to the miss that populated it (the X-Cache header is the
 // only difference).
 //
-// Observability is expvar-shaped: request/error counters, latency
-// quantiles (computed with internal/stats over a sliding window),
-// cache hit rate, and an in-flight gauge are served at /debug/vars on
-// the API listener; DebugHandler additionally mounts net/http/pprof
-// for a private port. Graceful shutdown is inherited from
+// Observability is one obs.Registry served as Prometheus text at
+// /metrics on the API listener: request, response-code and error
+// counters, a request-latency histogram, cache hits and misses, and an
+// in-flight gauge. DebugHandler additionally mounts net/http/pprof for
+// a private port. Graceful shutdown is inherited from
 // http.Server.Shutdown — handlers run to completion, so in-flight
 // solves drain under their own deadlines.
 package server

@@ -1,24 +1,18 @@
 package server
 
 import (
-	"expvar"
-	"fmt"
-	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Metrics holds schedd's operational counters on an obs.Registry, which
-// renders them two ways: Prometheus text exposition at /metrics and the
-// legacy expvar JSON at /debug/vars. The registry is per-Server rather
-// than process-global so multiple instances — one per test — never
-// collide (expvar.Publish panics on duplicates; obs registries are just
-// values).
+// renders them as Prometheus text exposition at /metrics. The registry
+// is per-Server rather than process-global so multiple instances — one
+// per test — never collide.
 //
 // Prometheus families:
 //
@@ -36,15 +30,8 @@ import (
 //	schedd_goroutines                 gauge
 //	schedd_heap_bytes                 gauge
 //	schedd_gc_pause_seconds_total     gauge (cumulative, scrape-computed)
-//
-// The expvar view keeps the pre-registry key set byte-for-byte —
-// requests_total, responses_by_code, solve_errors, in_flight,
-// cache_hits, cache_misses, cache_hit_rate, latency_seconds
-// ({count,p50,p90,p99}) — so existing scrapers keep working, and adds
-// an "obs" sub-object with the full labeled registry.
 type Metrics struct {
-	reg  *obs.Registry
-	vars *expvar.Map
+	reg *obs.Registry
 
 	requests   *obs.Counter
 	solveErrs  *obs.Counter
@@ -117,34 +104,12 @@ func NewMetrics() *Metrics {
 	reg.GaugeFunc("schedd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time in seconds.",
 		func() float64 { return float64(m.memStats().PauseTotalNs) / 1e9 })
 
-	m.vars = new(expvar.Map).Init()
-	m.vars.Set("requests_total", expvar.Func(func() interface{} { return m.requests.Value() }))
-	m.vars.Set("responses_by_code", expvar.Func(m.responsesByCode))
-	m.vars.Set("solve_errors", expvar.Func(func() interface{} { return m.solveErrs.Value() }))
-	m.vars.Set("in_flight", expvar.Func(func() interface{} { return m.inFlight.Value() }))
-	m.vars.Set("cache_hits", expvar.Func(func() interface{} { return m.cacheHits.Value() }))
-	m.vars.Set("cache_misses", expvar.Func(func() interface{} { return m.cacheMiss.Value() }))
-	m.vars.Set("cache_hit_rate", expvar.Func(m.hitRate))
-	m.vars.Set("latency_seconds", expvar.Func(m.latencyQuantiles))
-	m.vars.Set("prepared_hits", expvar.Func(func() interface{} { return m.prepHits.Value() }))
-	m.vars.Set("prepared_misses", expvar.Func(func() interface{} { return m.prepMiss.Value() }))
-	m.vars.Set("prepared_builds", expvar.Func(func() interface{} { return m.prepBuilds.Value() }))
-	m.vars.Set("prepared_evictions", expvar.Func(func() interface{} { return m.prepEvict.Value() }))
-	m.vars.Set("prepared_size", expvar.Func(func() interface{} { return m.prepSize.Value() }))
-	m.vars.Set("sessions_active", expvar.Func(func() interface{} { return m.sessActive.Value() }))
-	m.vars.Set("session_events", expvar.Func(func() interface{} { return m.sessEvents.Value() }))
-	m.vars.Set("session_deltas", expvar.Func(func() interface{} { return m.sessDeltas.Value() }))
-	m.vars.Set("obs", reg.Expvar())
 	return m
 }
 
 // Registry exposes the underlying obs registry so the Server can attach
 // pool gauges and mount the Prometheus handler.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// Vars returns the expvar map, for callers that want to publish it into
-// the process-global registry (cmd/schedd does, once).
-func (m *Metrics) Vars() *expvar.Map { return m.vars }
 
 // RequestStarted bumps the in-flight gauge and returns the completion
 // callback the middleware defers: it records the status code and the
@@ -258,39 +223,6 @@ func (m *Metrics) SessionEvents() int64 { return m.sessEvents.Value() }
 // InFlight returns the current gauge value (used by tests).
 func (m *Metrics) InFlight() int64 { return m.inFlight.Value() }
 
-func (m *Metrics) hitRate() interface{} {
-	h, s := m.cacheHits.Value(), m.cacheMiss.Value()
-	if h+s == 0 {
-		return 0.0
-	}
-	return float64(h) / float64(h+s)
-}
-
-func (m *Metrics) responsesByCode() interface{} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.byCode))
-	for code, c := range m.byCode {
-		out[strconv.Itoa(code)] = c.Value()
-	}
-	return out
-}
-
-// latencyQuantiles reports the sliding-window request-latency quantiles
-// in the shape the pre-registry expvar map used. The histogram snapshot
-// is taken under its window lock; sorting (inside stats.Quantiles)
-// happens out here, so a slow scrape never stalls request recording.
-func (m *Metrics) latencyQuantiles() interface{} {
-	sample := m.latency.Sample()
-	out := map[string]interface{}{"count": len(sample)}
-	if len(sample) == 0 {
-		return out
-	}
-	qs := stats.Quantiles(sample, 0.5, 0.9, 0.99)
-	out["p50"], out["p90"], out["p99"] = qs[0], qs[1], qs[2]
-	return out
-}
-
 // memStats returns the process MemStats, refreshed at most once per
 // second: a scrape touching several runtime gauges pays for one read.
 func (m *Metrics) memStats() *runtime.MemStats {
@@ -301,14 +233,4 @@ func (m *Metrics) memStats() *runtime.MemStats {
 		m.msAt = now
 	}
 	return &m.ms
-}
-
-// Handler serves the metric map in expvar's JSON wire format, nested
-// under "schedd" so the output is drop-in compatible with expvar
-// scrapers pointed at a stock /debug/vars.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n%q: %s\n}\n", "schedd", m.vars.String())
-	})
 }

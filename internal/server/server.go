@@ -195,16 +195,11 @@ func New(cfg Config) *Server {
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.Handle("GET /metrics", reg.PrometheusHandler())
-	s.mux.Handle("GET /debug/vars", s.metrics.Handler())
 	s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("GET /debug/requests/{id}", s.handleDebugRequestTrace)
 	s.mux.HandleFunc("GET /debug/state", s.handleDebugState)
 	return s
 }
-
-// Metrics exposes the server's counters (cmd/schedd publishes them
-// into the global expvar registry; tests read them directly).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close drains the streaming-session layer: no new sessions are
 // admitted, every open session is closed (reason "drain"), live event
@@ -303,9 +298,10 @@ func (s *Server) traced(path string) bool {
 	return path != "/metrics" && path != "/healthz" && !strings.HasPrefix(path, "/debug/")
 }
 
-// DebugHandler returns the private-side handler: pprof plus the same
-// metric map. cmd/schedd binds it to a loopback-only port — profiling
-// endpoints can stall the world and must not face traffic.
+// DebugHandler returns the private-side handler: pprof plus the
+// /debug introspection routes. cmd/schedd binds it to a loopback-only
+// port — profiling endpoints can stall the world and must not face
+// traffic.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -313,7 +309,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", s.metrics.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	mux.HandleFunc("GET /debug/requests/{id}", s.handleDebugRequestTrace)
 	mux.HandleFunc("GET /debug/state", s.handleDebugState)

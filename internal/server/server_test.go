@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -380,7 +382,7 @@ func TestCacheHitDeterminism(t *testing.T) {
 		t.Errorf("changed request served from cache (X-Cache = %q)", got)
 	}
 
-	m := srv.Metrics()
+	m := srv.metrics
 	if m.cacheHits.Value() != 1 || m.cacheMiss.Value() != 2 {
 		t.Errorf("cache counters hits=%d misses=%d, want 1/2", m.cacheHits.Value(), m.cacheMiss.Value())
 	}
@@ -434,13 +436,13 @@ func TestConcurrentRequests(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := srv.Metrics().InFlight(); got != 0 {
+	if got := srv.metrics.InFlight(); got != 0 {
 		t.Errorf("in-flight gauge = %d after drain, want 0", got)
 	}
 	if _, b := srv.cache.residency(); b > budget {
 		t.Errorf("result cache holds %d bytes, over its %d-byte budget", b, budget)
 	}
-	if srv.Metrics().cacheEvict.Value() == 0 {
+	if srv.metrics.cacheEvict.Value() == 0 {
 		t.Error("15 distinct answers never overflowed a 2 KiB budget")
 	}
 }
@@ -474,7 +476,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 
 	// Wait until the request is actually in flight, then shut down.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().InFlight() == 0 {
+	for srv.metrics.InFlight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never became in-flight")
 		}
@@ -536,35 +538,24 @@ func TestAlgorithmsHealthzAndMetricsEndpoints(t *testing.T) {
 		t.Errorf("healthz = %d", r.StatusCode)
 	}
 
-	r, err = ts.Client().Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	body, _ := scrape(t, ts)
+	sample := func(series string) int64 {
+		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\d+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("scrape missing %s\n%s", series, body)
+		}
+		n, _ := strconv.ParseInt(m[1], 10, 64)
+		return n
 	}
-	var vars struct {
-		Schedd struct {
-			Requests  int64 `json:"requests_total"`
-			InFlight  int64 `json:"in_flight"`
-			ByCode    map[string]int64
-			Latencies struct {
-				Count int     `json:"count"`
-				P50   float64 `json:"p50"`
-				P99   float64 `json:"p99"`
-			} `json:"latency_seconds"`
-		} `json:"schedd"`
+	if got := sample("schedd_requests_total"); got < 1 {
+		t.Errorf("schedd_requests_total = %d, want ≥ 1", got)
 	}
-	raw := readAll(t, r.Body)
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("metrics not valid JSON: %v\n%s", err, raw)
+	// The /metrics request itself is still in flight while serving.
+	if got := sample("schedd_in_flight"); got != 1 {
+		t.Errorf("schedd_in_flight = %d while serving /metrics, want 1", got)
 	}
-	if vars.Schedd.Requests < 1 {
-		t.Errorf("requests_total = %d, want ≥ 1", vars.Schedd.Requests)
-	}
-	// The /debug/vars request itself is still in flight while serving.
-	if vars.Schedd.InFlight != 1 {
-		t.Errorf("in_flight = %d while serving /debug/vars, want 1", vars.Schedd.InFlight)
-	}
-	if vars.Schedd.Latencies.Count < 1 || vars.Schedd.Latencies.P99 < vars.Schedd.Latencies.P50 {
-		t.Errorf("latency quantiles malformed: %+v", vars.Schedd.Latencies)
+	if got := sample("schedd_request_duration_seconds_count"); got < 1 {
+		t.Errorf("schedd_request_duration_seconds_count = %d, want ≥ 1", got)
 	}
 }
 
@@ -591,5 +582,17 @@ func TestDebugHandlerServesPprofPrivately(t *testing.T) {
 	readAll(t, r.Body)
 	if r.StatusCode == http.StatusOK {
 		t.Error("pprof reachable on the public API handler; it must stay private")
+	}
+
+	// /metrics is the one metrics surface: no expvar map on either side.
+	for _, ts := range []*httptest.Server{api, debug} {
+		r, err := ts.Client().Get(ts.URL + "/debug/vars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, r.Body)
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s/debug/vars = %d, want 404", ts.URL, r.StatusCode)
+		}
 	}
 }

@@ -411,8 +411,8 @@ func TestSessionMoveAvoidsFieldRebuild(t *testing.T) {
 	created := createSession(t, ts, SessionRequest{Algorithm: "greedy", Links: links})
 	st := openStream(t, ts, created.SessionID)
 
-	buildsAfterCreate := srv.Metrics().PreparedBuilds()
-	eventsBefore := srv.Metrics().SessionEvents()
+	buildsAfterCreate := srv.metrics.PreparedBuilds()
+	eventsBefore := srv.metrics.SessionEvents()
 	r := rng.New(5)
 	const moves = 50
 	for i := 0; i < moves; i++ {
@@ -422,10 +422,10 @@ func TestSessionMoveAvoidsFieldRebuild(t *testing.T) {
 			t.Fatalf("move %d rejected: %s", i, d.Error)
 		}
 	}
-	if got := srv.Metrics().PreparedBuilds(); got != buildsAfterCreate {
+	if got := srv.metrics.PreparedBuilds(); got != buildsAfterCreate {
 		t.Fatalf("prepared builds advanced %d → %d across pure moves", buildsAfterCreate, got)
 	}
-	if got := srv.Metrics().SessionEvents(); got != eventsBefore+moves {
+	if got := srv.metrics.SessionEvents(); got != eventsBefore+moves {
 		t.Fatalf("session events %d → %d, want +%d", eventsBefore, got, moves)
 	}
 
@@ -434,7 +434,7 @@ func TestSessionMoveAvoidsFieldRebuild(t *testing.T) {
 	if d, _ := st.recv(); d.Error != "" {
 		t.Fatalf("add rejected: %s", d.Error)
 	}
-	if got := srv.Metrics().PreparedBuilds(); got != buildsAfterCreate+1 {
+	if got := srv.metrics.PreparedBuilds(); got != buildsAfterCreate+1 {
 		t.Fatalf("prepared builds %d after an add, want exactly %d", got, buildsAfterCreate+1)
 	}
 	st.closeWrite()
@@ -664,7 +664,7 @@ func TestSessionErrorDeltasKeepState(t *testing.T) {
 	m := newMirror(links, created)
 	st := openStream(t, ts, created.SessionID)
 
-	rejected := srv.Metrics().sessRejected.Value()
+	rejected := srv.metrics.sessRejected.Value()
 	// Out-of-range index: rejected by validation.
 	p := geom.Point{X: 1, Y: 1}
 	st.send(network.SessionEvent{Type: network.EventMove, Link: 99, Sender: &p})
@@ -679,7 +679,7 @@ func TestSessionErrorDeltasKeepState(t *testing.T) {
 	if d.Error == "" || d.Seq != 0 {
 		t.Fatalf("colliding move: %+v, want error with seq 0", d)
 	}
-	if got := srv.Metrics().sessRejected.Value(); got != rejected+2 {
+	if got := srv.metrics.sessRejected.Value(); got != rejected+2 {
 		t.Fatalf("rejected counter %d → %d, want +2", rejected, got)
 	}
 	// Removing the last link is impossible, but n=10 here; remove down
@@ -799,7 +799,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	srv, ts := newSessionServer(t, Config{SessionTTL: 40 * time.Millisecond})
 	links := paperLinks(t, 6, 15)
 	created := createSession(t, ts, SessionRequest{Algorithm: "greedy", Links: links})
-	if got := srv.Metrics().SessionsActive(); got != 1 {
+	if got := srv.metrics.SessionsActive(); got != 1 {
 		t.Fatalf("active gauge %d after create", got)
 	}
 
@@ -818,7 +818,7 @@ func TestSessionTTLEviction(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := srv.Metrics().SessionsActive(); got != 0 {
+	if got := srv.metrics.SessionsActive(); got != 0 {
 		t.Fatalf("active gauge %d after eviction", got)
 	}
 	if got := srv.preps.len(); got != 0 {
@@ -851,7 +851,7 @@ func TestSessionPinnedSurvivesCachePressure(t *testing.T) {
 	d, _ := st.recv()
 	m.apply(t, ev, d)
 
-	buildsBefore := srv.Metrics().PreparedBuilds()
+	buildsBefore := srv.metrics.PreparedBuilds()
 	// Churn: six distinct instances through a cap-2 cache.
 	for seed := uint64(50); seed < 56; seed++ {
 		resp := postSolve(t, ts, SolveRequest{Algorithm: "greedy", Links: paperLinks(t, 10, seed)})
@@ -871,7 +871,7 @@ func TestSessionPinnedSurvivesCachePressure(t *testing.T) {
 	d, _ = st.recv()
 	m.apply(t, ev, d)
 	m.coldCheck(t, "greedy")
-	if got := srv.Metrics().PreparedBuilds(); got != buildsBefore+6 {
+	if got := srv.metrics.PreparedBuilds(); got != buildsBefore+6 {
 		t.Fatalf("prepared builds %d, want %d (6 pressure builds, none from the session)",
 			got, buildsBefore+6)
 	}
@@ -927,7 +927,7 @@ func TestSessionDrain(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("drain took %v", elapsed)
 	}
-	if got := srv.Metrics().SessionsActive(); got != 0 {
+	if got := srv.metrics.SessionsActive(); got != 0 {
 		t.Fatalf("active gauge %d after drain", got)
 	}
 

@@ -199,14 +199,14 @@ func TestTrafficSharesPreparedFieldWithSolve(t *testing.T) {
 		t.Fatalf("solve status %d", resp.StatusCode)
 	}
 	readAll(t, resp.Body)
-	builds := srv.Metrics().PreparedBuilds()
+	builds := srv.metrics.PreparedBuilds()
 
 	resp = postTraffic(t, ts, TrafficRequest{Links: links, Slots: 50, Rate: 0.05})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traffic status %d", resp.StatusCode)
 	}
 	readAll(t, resp.Body)
-	if got := srv.Metrics().PreparedBuilds(); got != builds {
+	if got := srv.metrics.PreparedBuilds(); got != builds {
 		t.Errorf("traffic run rebuilt the field: %d -> %d builds", builds, got)
 	}
 }

@@ -128,6 +128,20 @@ echo "== sharded solver gate"
 # oracles, and the clustered-layout fuzz seeds (`make test-shard`).
 go test -race -run 'TestSharded|FuzzShardedFeasible' -count=1 ./internal/sched/
 
+echo "== experiment determinism gate"
+# Every table folds its (x, instance) results in index order, so its
+# output is byte-identical at any worker count: the CSV-bytes test at
+# 1, 2 and 4 workers under -race, then the full `-fig all` run at
+# GOMAXPROCS=4 compared with every file committed under results/
+# (about 10 s on a 2-vCPU box).
+go test -race -run 'TestRunDeterministic|TestStalenessTable' -count=1 ./internal/experiment/
+exp_tmp=$(mktemp -d)
+trap 'rm -rf "$exp_tmp"' EXIT
+GOMAXPROCS=4 go run ./cmd/experiments -fig all -csv "$exp_tmp" > "$exp_tmp/experiments.txt"
+for f in results/*.csv results/experiments.txt; do
+    cmp "$f" "$exp_tmp/$(basename "$f")"
+done
+
 echo "== bench smoke"
 # One-iteration pass over the prepared/batch/sharded/traffic benchmarks
 # proving the JSON emitter works end to end; the full run is
