@@ -37,8 +37,8 @@ bench-field:
 	$(GO) test -run '^$$' -bench 'BenchmarkFieldFill' -benchtime 2s -count=1 ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkLog1pPos$$|BenchmarkLog1pStdlib$$|BenchmarkHalfPow' -count=1 ./internal/mathx/
 
-## bench-json: the full performance suite → BENCH_PR10.json
-## (Fig 5a, field build, cold vs warm-prepared solve traced and
+## bench-json: the full performance suite → BENCH_PR17.json
+## (Fig 5a, the Monte-Carlo solve_mc shape, field build, cold vs warm-prepared solve traced and
 ## untraced, sharded-vs-unsharded greedy plus the n=100k scale record,
 ## schedd end-to-end, traffic engine, streaming-session event loop,
 ## span-lifecycle overhead)

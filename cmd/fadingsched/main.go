@@ -187,6 +187,9 @@ func run(args []string, out io.Writer) error {
 				mcSp.SetInt("slots", int64(*slots))
 			}
 			res, err := fadingrls.Simulate(pr, s, fadingrls.SimConfig{Slots: *slots, Seed: *seed})
+			if mcSp.Enabled() {
+				mcSp.SetInt("exact_rows", res.ExactRows)
+			}
 			mcSp.End()
 			if err != nil {
 				return err

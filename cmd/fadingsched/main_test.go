@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,4 +107,33 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+}
+
+// TestTraceOutRecordsMCExactRows: -trace-out's mc_simulate events carry
+// the Monte-Carlo kernel's exact-replay count.
+func TestTraceOutRecordsMCExactRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	runCLI(t, "-n", "300", "-seed", "2", "-algo", "approxdiversity", "-slots", "20", "-trace-out", path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "mc_simulate" {
+			if rows, ok := ev.Args["exact_rows"].(float64); !ok || rows <= 0 {
+				t.Fatalf("mc_simulate exact_rows = %v, want a positive count for an overpacked schedule", ev.Args["exact_rows"])
+			}
+			return
+		}
+	}
+	t.Fatal("trace has no mc_simulate event")
 }

@@ -60,26 +60,26 @@ func SimulateAdaptive(pr *sched.Problem, s sched.Schedule, cfg AdaptiveConfig) (
 		batch += coherence - rem
 	}
 
+	// The mean gains and the analytic expectation are built once; each
+	// batch runs over them from its own block offset.
+	f := newFading(pr, s)
 	total := Result{
 		PerLinkFailures: make([]int64, s.Len()),
-		Expected:        sched.ExpectedFailures(pr, s),
+		Expected:        f.expected,
 	}
 	for total.Slots < maxSlots {
-		res, err := Simulate(pr, s, Config{
-			Slots:          batch,
+		res := f.run(batch, Config{
 			Seed:           cfg.Seed,
 			Workers:        cfg.Workers,
 			CoherenceSlots: cfg.CoherenceSlots,
 			BlockOffset:    total.Slots / coherence,
 		})
-		if err != nil {
-			return Result{}, err
-		}
 		total.Failures.Merge(res.Failures)
 		for k, c := range res.PerLinkFailures {
 			total.PerLinkFailures[k] += c
 		}
 		total.Slots += res.Slots
+		total.ExactRows += res.ExactRows
 		if ci := total.Failures.CI95(); ci <= cfg.TargetCI {
 			break
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -50,6 +52,10 @@ type Result struct {
 	Expected float64
 	// Slots echoes the realization count.
 	Slots int
+	// ExactRows counts the (coherence block, receiver) rows whose
+	// outcome radio.RowOutcome could not certify from its bracket and
+	// replayed exactly — the rows that paid one exponential per pair.
+	ExactRows int64
 }
 
 // FailureRate returns the mean fraction of scheduled links that failed
@@ -64,10 +70,15 @@ func (r Result) FailureRate() float64 {
 // Simulate draws cfg.Slots Rayleigh realizations of the schedule and
 // counts failed transmissions per slot.
 //
-// Slot k uses rng.Stream(cfg.Seed, "mc-slot", k), consuming one
-// exponential per (active sender, active receiver) pair in ascending
-// receiver-then-sender order; results are reproducible and independent
-// of the worker count.
+// Coherence block b (one slot under i.i.d. fading) draws from
+// rng.Stream(cfg.Seed, "mc-slot", cfg.BlockOffset+b): one 64-bit value
+// per (active sender, active receiver) pair in ascending
+// receiver-then-sender order, the value rng.Source.Exp would turn into
+// that pair's exponential. radio.RowOutcome decides each receiver once
+// per block, evaluating exponentials only for the signals and for the
+// rows its bracket leaves undecided, so the outcomes equal those of
+// the exact draws. Results are reproducible and independent of the
+// worker count.
 func Simulate(pr *sched.Problem, s sched.Schedule, cfg Config) (Result, error) {
 	slots := cfg.Slots
 	if slots == 0 {
@@ -76,108 +87,120 @@ func Simulate(pr *sched.Problem, s sched.Schedule, cfg Config) (Result, error) {
 	if slots < 0 {
 		return Result{}, fmt.Errorf("mc: negative slot count %d", slots)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return newFading(pr, s).run(slots, cfg), nil
+}
+
+// fading is a schedule's Monte-Carlo setup, built once per schedule:
+// the mean gains over its active set and the analytic expectation.
+type fading struct {
+	m int
+	// mean[j*m+i] = P_i · d_{active[i],active[j]}^{−α}: sender i's mean
+	// received power at receiver j, honoring per-link power overrides.
+	mean        []float64
+	n0, gammaTh float64
+	// expected reads through the problem's interference field: exact
+	// on the dense backend, a (slightly pessimistic) upper bound on a
+	// truncated one. The mean gains come from geometry, so the
+	// empirical counts are exact under any backend — on a sparse field
+	// the Expected/empirical gap includes the tail-bound charge on top
+	// of sampling noise.
+	expected float64
+}
+
+func newFading(pr *sched.Problem, s sched.Schedule) *fading {
 	m := s.Len()
-	// Expected reads through the problem's interference field: exact on
-	// the dense backend, a (slightly pessimistic) upper bound on a
-	// truncated one. The simulated draws below build their own gain
-	// table from geometry, so the empirical counts are exact under any
-	// backend — on a sparse field the Expected/empirical gap includes
-	// the tail-bound charge on top of sampling noise.
+	f := &fading{
+		m:        m,
+		mean:     make([]float64, m*m),
+		n0:       pr.Params.N0,
+		gammaTh:  pr.Params.GammaTh,
+		expected: sched.ExpectedFailures(pr, s),
+	}
+	for j, rj := range s.Active {
+		for i, si := range s.Active {
+			f.mean[j*m+i] = pr.Params.MeanGainP(pr.PowerOf(si), pr.Links.Dist(si, rj))
+		}
+	}
+	return f
+}
+
+// run simulates slots slots under cfg's seed, worker count, coherence
+// and block offset (cfg.Slots is ignored).
+func (f *fading) run(slots int, cfg Config) Result {
+	m := f.m
 	res := Result{
 		PerLinkFailures: make([]int64, m),
-		Expected:        sched.ExpectedFailures(pr, s),
+		Expected:        f.expected,
 		Slots:           slots,
 	}
 	if m == 0 || slots == 0 {
 		for i := 0; i < slots; i++ {
 			res.Failures.Add(0)
 		}
-		return res, nil
+		return res
 	}
-
-	// Precompute the mean-gain table restricted to the active set:
-	// mean[j][i] = P_i · d_{active[i],active[j]}^{−α} (sender i →
-	// receiver j), honoring per-link power overrides.
-	mean := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		mean[j] = make([]float64, m)
-		for i := 0; i < m; i++ {
-			mean[j][i] = pr.Params.MeanGainP(pr.PowerOf(s.Active[i]),
-				pr.Links.Dist(s.Active[i], s.Active[j]))
-		}
-	}
-	params := pr.Params
-	gammaTh := params.GammaTh
-	coherence := cfg.CoherenceSlots
-	if coherence <= 0 {
-		coherence = 1
-	}
-
-	type slotOut struct {
-		failed    int
-		linksDown []int32 // indices (into Active) of failed links
-	}
-	outs := make([]slotOut, slots)
-	var wg sync.WaitGroup
-	// Work is dealt in coherence blocks so a block's gains are drawn
-	// once from the block's own stream, keeping results independent of
-	// worker count even under block fading.
+	coherence := max(cfg.CoherenceSlots, 1)
+	// Work is dealt in coherence blocks: a block's draws come from the
+	// block's own stream and decide all its slots at once, keeping
+	// results independent of the worker count.
 	blocks := (slots + coherence - 1) / coherence
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, blocks)
+
+	// failed[b] is block b's failed-link count (the same in each of
+	// its slots); each worker tallies per-link failed slots and exact
+	// rows in its own locals, folded below in worker order (integer
+	// sums, so the order cannot matter).
+	failed := make([]int, blocks)
+	type tally struct {
+		down  []int64
+		exact int64
+	}
+	tallies := make([]tally, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range tallies {
 		wg.Add(1)
-		go func() {
+		go func(t *tally) {
 			defer wg.Done()
-			gains := make([]float64, m*m)
-			for block := range next {
-				src := rng.Stream(cfg.Seed, "mc-slot", uint64(cfg.BlockOffset+block))
-				// One draw per (receiver, sender) pair per block, in
-				// row-major receiver-then-sender order.
-				for j := 0; j < m; j++ {
-					for i := 0; i < m; i++ {
-						gains[j*m+i] = src.Exp(mean[j][i])
-					}
+			t.down = make([]int64, m)
+			var src rng.Source
+			for {
+				block := int(next.Add(1) - 1)
+				if block >= blocks {
+					return
 				}
-				lo := block * coherence
-				hi := min(lo+coherence, slots)
-				for slot := lo; slot < hi; slot++ {
-					out := &outs[slot]
-					for j := 0; j < m; j++ {
-						den := params.N0
-						row := gains[j*m : (j+1)*m]
-						for i, g := range row {
-							if i != j {
-								den += g
-							}
+				rng.StreamInto(&src, cfg.Seed, "mc-slot", uint64(cfg.BlockOffset+block))
+				inBlock := int64(min(coherence, slots-block*coherence))
+				for j := 0; j < m; j++ {
+					v, sig, den := radio.RowOutcome(&src, f.mean[j*m:(j+1)*m], j, f.n0, f.gammaTh)
+					if v == radio.RowUndecided {
+						t.exact++
+						if den > 0 && sig/den < f.gammaTh {
+							v = radio.RowFailure
 						}
-						failed := false
-						if den > 0 {
-							failed = row[j]/den < gammaTh
-						}
-						if failed {
-							out.failed++
-							out.linksDown = append(out.linksDown, int32(j))
-						}
+					}
+					if v == radio.RowFailure {
+						failed[block]++
+						t.down[j] += inBlock
 					}
 				}
 			}
-		}()
+		}(&tallies[w])
 	}
-	for block := 0; block < blocks; block++ {
-		next <- block
-	}
-	close(next)
 	wg.Wait()
 
-	for slot := range outs {
-		res.Failures.Add(float64(outs[slot].failed))
-		for _, j := range outs[slot].linksDown {
-			res.PerLinkFailures[j]++
-		}
+	for slot := 0; slot < slots; slot++ {
+		res.Failures.Add(float64(failed[slot/coherence]))
 	}
-	return res, nil
+	for _, t := range tallies {
+		for j, c := range t.down {
+			res.PerLinkFailures[j] += c
+		}
+		res.ExactRows += t.exact
+	}
+	return res
 }

@@ -11,6 +11,10 @@
 // The package also draws instantaneous channel realizations so the
 // Monte-Carlo engine can count the failed transmissions of a schedule
 // under real fading — the measurement behind the paper's Fig. 5.
+// RowOutcome is that measurement's kernel, shared with the traffic
+// engine: it decides one receiver's slot outcome from the row's draws,
+// evaluating only the signal's exponential unless the bit-length
+// bracket on the interferers' exponentials straddles γ_th.
 //
 // Noise is ignored throughout (paper Eq. 8, following [14,15,19]); the
 // Params type still carries N0 so callers can enable it and quantify

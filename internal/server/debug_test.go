@@ -8,8 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mc"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/radio"
+	"repro/internal/sched"
 )
 
 // traceIDOf POSTs one solve with an explicit X-Trace-Id and returns
@@ -384,4 +387,62 @@ func TestDebugEndpointsNotTraced(t *testing.T) {
 	if stats := srv.recorder.Stats(); stats.Seen != 0 {
 		t.Fatalf("introspection requests were traced: %+v", stats)
 	}
+}
+
+// TestMCSpanCountsExactRows: a traced solve with mc_slots records the
+// Monte-Carlo kernel's exact-replay count on its mc_simulate span, equal
+// to a direct mc.Simulate of the returned schedule; the response body
+// carries no such field.
+func TestMCSpanCountsExactRows(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	links := paperLinks(t, 300, 4)
+	req := SolveRequest{Algorithm: "approxdiversity", Links: links, MCSlots: 50, MCSeed: 3}
+	resp := postSolve(t, ts, req)
+	body := readAll(t, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
+	}
+	if strings.Contains(string(body), "exact_rows") {
+		t.Fatalf("response body exposes exact_rows: %s", body)
+	}
+	var out SolveResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	pr := sched.MustNewProblem(network.MustNewLinkSet(links), radio.DefaultParams())
+	sim, err := mc.Simulate(pr, sched.NewSchedule("", out.Active), mc.Config{Slots: 50, Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.ExactRows == 0 {
+		t.Fatal("no row replayed exactly: the span check is vacuous")
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	dr, err := ts.Client().Get(ts.URL + "/debug/requests?n=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list debugRequestsResponse
+	if err := json.Unmarshal(readAll(t, dr.Body), &list); err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range list.Recent {
+		if snap.TraceID != id {
+			continue
+		}
+		for _, sp := range snap.Spans {
+			if sp.Name == "mc_simulate" {
+				if got, ok := sp.Attrs["exact_rows"].(float64); !ok || int64(got) != sim.ExactRows {
+					t.Fatalf("mc_simulate exact_rows = %v, want %d", sp.Attrs["exact_rows"], sim.ExactRows)
+				}
+				return
+			}
+		}
+		t.Fatalf("trace %s has no mc_simulate span (have %v)", id, spanNames(snap))
+	}
+	t.Fatalf("trace %s not in recent traces", id)
 }

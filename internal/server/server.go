@@ -536,6 +536,9 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 			mcSp.SetInt("slots", int64(q.MCSlots))
 		}
 		sim, err := mc.Simulate(pr, schedule, mc.Config{Slots: q.MCSlots, Seed: q.MCSeed, Workers: 1})
+		if mcSp.Enabled() {
+			mcSp.SetInt("exact_rows", sim.ExactRows)
+		}
 		mcSp.End()
 		if err != nil {
 			s.metrics.SolveError()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -33,7 +34,7 @@ type Engine struct {
 	mask    []bool
 	weights []float64
 	active  []int // recycled schedule buffer (dst of ScheduleInto)
-	gains   []float64
+	means   []float64
 	success []bool
 
 	arrSrc  rng.Source // arrivals stream, consumed across the run
@@ -58,6 +59,12 @@ type Engine struct {
 	// candidates sums the links each slot's selection admitted — the m
 	// a selection-restricted solve's cost scales with.
 	candidates int64
+	// fade is the per-slot fading draw, transmit; the differential
+	// tests swap in a reference implementation.
+	fade func(slot int)
+	// exactRows counts the receivers whose fading outcome
+	// radio.RowOutcome left undecided and replayed exactly.
+	exactRows int64
 
 	// runSpan is the trace span covering the whole run; Step hangs one
 	// bounded per-slot child off it (the trace arena caps how many
@@ -96,7 +103,7 @@ func New(prep *sched.Prepared, cfg Config) (*Engine, error) {
 		mask:     make([]bool, n),
 		weights:  make([]float64, n),
 		active:   make([]int, 0, n),
-		gains:    make([]float64, n),
+		means:    make([]float64, n),
 		success:  make([]bool, n),
 		resv:     newReservoir(cfg.reservoirSize(), cfg.Seed),
 		driftBuf: make([]int64, cfg.driftWindow()+1),
@@ -104,6 +111,7 @@ func New(prep *sched.Prepared, cfg Config) (*Engine, error) {
 		stride:   1,
 		solve:    prep.ScheduleWeightedInto,
 	}
+	e.fade = e.transmit
 	// The arrival and channel stream labels predate the package: they
 	// keep engine runs seed-compatible with historical simnet results.
 	rng.StreamInto(&e.arrSrc, cfg.Seed, "simnet-arrivals", 0)
@@ -186,7 +194,7 @@ func (e *Engine) Step(ctx context.Context) error {
 		// 3. Transmit with a live fading draw shared by the slot,
 		// then deliver head-of-line packets on the successes.
 		if len(e.active) > 0 {
-			e.transmit(slot)
+			e.fade(slot)
 			for k, i := range e.active {
 				e.res.Attempts++
 				if e.success[k] {
@@ -256,7 +264,8 @@ func (e *Engine) selection() sched.Selection {
 // transmit draws one fading realization shared by the slot and fills
 // e.success, indexed like e.active. The draw order (receivers outer,
 // senders inner) matches legacy simnet exactly, keeping old seeds
-// reproducible.
+// reproducible; radio.RowOutcome decides each receiver from those
+// draws, replaying only the rows it cannot certify.
 func (e *Engine) transmit(slot int) {
 	m := len(e.active)
 	e.success = e.success[:m]
@@ -268,20 +277,19 @@ func (e *Engine) transmit(slot int) {
 	}
 	rng.StreamInto(&e.chSrc, e.cfg.Seed, "simnet-channel", uint64(slot))
 	pr := e.pr
-	gains := e.gains[:m]
-	for j := 0; j < m; j++ {
-		rj := e.active[j]
-		for i := 0; i < m; i++ {
-			mean := pr.Params.MeanGainP(pr.PowerOf(e.active[i]), pr.Links.Dist(e.active[i], rj))
-			gains[i] = e.chSrc.Exp(mean)
+	n0, gammaTh := pr.Params.N0, pr.Params.GammaTh
+	means := e.means[:m]
+	for j, rj := range e.active {
+		for i, si := range e.active {
+			means[i] = pr.Params.MeanGainP(pr.PowerOf(si), pr.Links.Dist(si, rj))
 		}
-		den := pr.Params.N0
-		for i := 0; i < m; i++ {
-			if i != j {
-				den += gains[i]
-			}
+		v, sig, den := radio.RowOutcome(&e.chSrc, means, j, n0, gammaTh)
+		if v == radio.RowUndecided {
+			e.exactRows++
+			e.success[j] = den == 0 || sig/den >= gammaTh
+		} else {
+			e.success[j] = v == radio.RowSuccess
 		}
-		e.success[j] = den == 0 || gains[j]/den >= pr.Params.GammaTh
 	}
 }
 
@@ -325,6 +333,7 @@ func (e *Engine) finish(truncated bool) Result {
 	if e.runSpan.Enabled() {
 		e.runSpan.SetInt("delivered", e.res.Delivered)
 		e.runSpan.SetInt("candidates", e.candidates)
+		e.runSpan.SetInt("exact_rows", e.exactRows)
 		e.runSpan.End()
 	}
 	res := e.res

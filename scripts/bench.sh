@@ -1,7 +1,9 @@
 #!/bin/sh
 # bench.sh — run the repository performance suite and emit a
-# machine-readable record (BENCH_PR10.json by default): ns/op, B/op,
-# and allocs/op for the figure-regeneration bench (Fig 5a),
+# machine-readable record (BENCH_PR17.json by default): ns/op, B/op,
+# and allocs/op for the figure-regeneration bench (Fig 5a), the
+# Monte-Carlo solve_mc shape (BenchmarkSimulateWarm, with its active
+# links and exact-replay rows per op),
 # interference-field construction, cold-build vs warm-prepared solves
 # (traced and untraced — the traced/untraced delta is the ≤5%
 # span-overhead gate, and BenchmarkSpanLifecycle documents the
@@ -14,7 +16,7 @@
 # the tile-sharded scale records: sharded-vs-unsharded greedy at
 # n=5000/20000 plus the n=100000 sparse build + sharded solve.
 #
-#   scripts/bench.sh              full run, writes BENCH_PR10.json
+#   scripts/bench.sh              full run, writes BENCH_PR17.json
 #   scripts/bench.sh -quick       1-iteration smoke (check.sh uses this)
 #   scripts/bench.sh -gate        converged fast subset (benchcmp gate)
 #   scripts/bench.sh -o out.json  choose the output path
@@ -34,7 +36,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out=BENCH_PR10.json
+out=BENCH_PR17.json
 benchtime=${BENCHTIME:-1s}
 buildbenchtime=3s
 mode=full
@@ -84,15 +86,19 @@ quick)
     run ./internal/server/ 'BenchmarkSolveBatch$|BenchmarkSessionEvents$'
     run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineLight$'
     run ./internal/sched/ 'BenchmarkDLS$'
+    run ./internal/mc/ 'BenchmarkSimulateWarm$'
     run ./internal/obs/ 'BenchmarkSpanLifecycle$'
     ;;
 gate)
     # The regression-gate subset: every benchmark here converges to
-    # hundreds of iterations inside the default budget, so a >10%
-    # ns/op move is signal, not scheduler noise.
+    # dozens (BenchmarkSimulateWarm) to hundreds of iterations inside
+    # the default budget, so a >10% ns/op move is signal, not
+    # scheduler noise; the per-op counts (links, active,
+    # exact_rows/op) are constants benchcmp compares exactly.
     run . 'BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$'
     run ./internal/server/ 'BenchmarkSessionEvents$'
     run ./internal/traffic/ 'BenchmarkEngineStep$'
+    run ./internal/mc/ 'BenchmarkSimulateWarm$'
     run ./internal/obs/ 'BenchmarkSpanLifecycle$'
     ;;
 *)
@@ -109,6 +115,7 @@ gate)
     run ./internal/server/ 'BenchmarkSolveColdVsWarm$|BenchmarkSolveBatch$|BenchmarkSessionEvents$'
     run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$'
     run ./internal/sched/ 'BenchmarkDLS$'
+    run ./internal/mc/ 'BenchmarkSimulateWarm$'
     # The span-tracing overhead record: the warm span lifecycle must
     # stay 0 allocs/op, the inert path near-free.
     run ./internal/obs/ 'BenchmarkSpanLifecycle$|BenchmarkSpanInert$'
