@@ -52,16 +52,19 @@ bench-shard:
 	$(GO) test -run '^$$' -bench 'BenchmarkSharded100k$$' -benchtime 1x -count=1 .
 
 ## test-shard: the tile-sharded solver suite under the race detector —
-## tile-worker concurrency, the shards=1 ≡ greedy bit-identity and
-## Monte-Carlo feasibility oracles, and the clustered-layout fuzz seeds
+## tile-worker concurrency, the tile pass and the pruned greedy
+## insertion against their plain-loop references, the shards=1 ≡
+## greedy bit-identity and Monte-Carlo feasibility oracles, and the
+## clustered-layout fuzz seeds
 test-shard:
-	$(GO) test -race -run 'TestSharded|FuzzShardedFeasible' -count=1 ./internal/sched/
+	$(GO) test -race -run 'TestSharded|TestGreedyInsertMatchesPlainLoop|FuzzShardedFeasible' -count=1 ./internal/sched/
 
 ## bench-traffic: traffic-engine per-slot cost (0 allocs/op), the
 ## ≥1M-packet n=5000 throughput run with its packets/sec metric, and
-## the light n=2000 max-weight run with its slots/sec metric
+## the light max-weight runs (dense n=2000, sparse n=2500) with their
+## slots/sec metric
 bench-traffic:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineStep$$|BenchmarkEngineThroughput$$|BenchmarkEngineLight$$' ./internal/traffic/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineStep$$|BenchmarkEngineThroughput$$|BenchmarkEngineLight$$|BenchmarkEngineLightSparse$$' ./internal/traffic/
 
 ## bench-serve: schedd cold/prepared-field/warm cache benchmark (n=1000)
 bench-serve:

@@ -420,12 +420,13 @@ func benchScalePrepared(b *testing.B, n int) *fadingrls.Prepared {
 	return fadingrls.NewPrepared(pr)
 }
 
-// BenchmarkShardedVsGreedy is the tile-sharding acceptance record:
-// the same prepared sparse instance solved by unsharded greedy and by
-// the tile-parallel path (auto shard count). The sharded/greedy ns/op
-// ratio at n ≥ 20000 is the ≥2× multi-core speedup gate; the links
-// metric makes the quality cost of the reserved-budget tiles visible
-// next to the speed.
+// BenchmarkShardedVsGreedy is the tile-sharding record: the same
+// prepared sparse instance solved by unsharded greedy and by the
+// tile-parallel path (auto shard count). Both run the pruned insertion
+// loop, so at this density unsharded greedy is the faster solve; what
+// sharding buys is schedule quality, which the links metric records
+// (the global pick order saturates a few receivers and starves, the
+// per-tile orders keep admitting). No script gates the ns/op ratio.
 func BenchmarkShardedVsGreedy(b *testing.B) {
 	for _, n := range []int{5000, 20000} {
 		prep := benchScalePrepared(b, n)

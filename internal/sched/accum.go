@@ -1,5 +1,11 @@
 package sched
 
+import (
+	"math"
+
+	"repro/internal/radio"
+)
+
 // Accum is the incremental feasibility accumulator every scheduler
 // maintains its working interference state in. It tracks, per receiver
 // j, the conservative load
@@ -26,8 +32,8 @@ type Accum struct {
 	// only, when non-nil, limits the dense AddLink walk to these
 	// receivers, leaving every other receiver's load meaningless: a
 	// selection-restricted greedy reads its candidates' loads and
-	// nothing else (see Greedy.scheduleRestricted). Sparse walks
-	// ignore it; reset clears it.
+	// nothing else (see Greedy.scheduleRestricted), and a tile solve
+	// its members' (restrict). Sparse walks ignore it; reset clears it.
 	only     []int
 	gammaEps float64
 	load     []float64
@@ -36,8 +42,11 @@ type Accum struct {
 	// with its own receiver). Unused (nil) when hasTail is false.
 	nearPow []float64
 	tail    []float64
-	actPow  float64
-	hasTail bool
+	// tmin and tmax bound tail from below and above (prunedInsert's
+	// far-field test); meaningful only when hasTail.
+	tmin, tmax float64
+	actPow     float64
+	hasTail    bool
 }
 
 // NewAccum returns an accumulator preloaded with each receiver's noise
@@ -92,8 +101,33 @@ func (a *Accum) reset(f InterferenceField) {
 	a.nearPow = floatsIn(&a.nearPow, n)
 	clear(a.nearPow)
 	a.tail = floatsIn(&a.tail, n)
-	for j := 0; j < n; j++ {
-		a.tail[j] = f.TailBound(j)
+	tmin, tmax := math.Inf(1), math.Inf(-1)
+	for j := range a.tail {
+		t := f.TailBound(j)
+		a.tail[j] = t
+		if t < tmin {
+			tmin = t
+		}
+		if t > tmax {
+			tmax = t
+		}
+	}
+	a.tmin, a.tmax = tmin, tmax
+}
+
+// restrict scopes a to one tile's members: their loads restart at
+// their noise terms and their nearPow at zero, the active power
+// empties, and dense AddLink walks visit members only. Every other
+// receiver's load is stale until the next reset — a tile solve reads
+// its members' and nothing else, so a worker restricts once per tile
+// in O(tile) instead of resetting in O(n).
+func (a *Accum) restrict(members []int) {
+	a.only, a.actPow = members, 0
+	for _, m := range members {
+		a.load[m] = a.field.NoiseTerm(m)
+		if a.hasTail {
+			a.nearPow[m] = 0
+		}
 	}
 }
 
@@ -174,6 +208,23 @@ func (a *Accum) Headroom(j int) float64 {
 	return a.gammaEps - a.Load(j)
 }
 
+// fits is the Corollary 3.1 admission test every greedy-family loop
+// runs: whether sender i can join active with i's own load and every
+// active receiver's load plus i's contribution within budget (plus the
+// Verify rounding slack). Callers compute budget once per solve — γ_ε,
+// or a tile's reserved share of it.
+func (a *Accum) fits(p radio.Params, i int, active []int, budget float64) bool {
+	if !p.InformedBudget(a.Load(i), budget) {
+		return false
+	}
+	for _, j := range active {
+		if !p.InformedBudget(a.Load(j)+a.Contribution(i, j), budget) {
+			return false
+		}
+	}
+	return true
+}
+
 // Contribution returns the conservative load delta receiver j would
 // see if sender i joined the active set: the stored factor, or the
 // tail-bound charge for truncated pairs. Zero for i == j and on exact
@@ -196,28 +247,19 @@ func (a *Accum) Contribution(i, j int) float64 {
 // add, and discard rather than add and remove, keeping bit-exact
 // backtracking.
 func (a *Accum) Clone() *Accum {
-	b := &Accum{
-		field:    a.field,
-		dense:    a.dense,
-		gammaEps: a.gammaEps,
-		load:     append([]float64(nil), a.load...),
-		tail:     a.tail,
-		actPow:   a.actPow,
-		hasTail:  a.hasTail,
-	}
-	if a.nearPow != nil {
-		b.nearPow = append([]float64(nil), a.nearPow...)
-	}
+	b := &Accum{}
+	a.CloneInto(b)
 	return b
 }
 
 // CloneInto overwrites dst with an independent copy of a, reusing
 // dst's buffers — the allocation-free form of Clone for scratch-held
-// destinations. Like Clone, the immutable field and tail bounds are
-// shared, the mutable load state is copied.
+// destinations. Like Clone, the immutable field, tail bounds and
+// receiver scope are shared, the mutable load state is copied.
 func (a *Accum) CloneInto(dst *Accum) {
-	dst.field, dst.dense, dst.gammaEps = a.field, a.dense, a.gammaEps
-	dst.tail, dst.actPow, dst.hasTail = a.tail, a.actPow, a.hasTail
+	dst.field, dst.dense, dst.only, dst.gammaEps = a.field, a.dense, a.only, a.gammaEps
+	dst.tail, dst.tmin, dst.tmax = a.tail, a.tmin, a.tmax
+	dst.actPow, dst.hasTail = a.actPow, a.hasTail
 	dst.load = append(dst.load[:0], a.load...)
 	if a.nearPow != nil {
 		dst.nearPow = append(dst.nearPow[:0], a.nearPow...)

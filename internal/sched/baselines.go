@@ -83,10 +83,6 @@ type detAccum struct {
 	load []float64
 }
 
-func newDetAccum(pr *Problem) *detAccum {
-	return &detAccum{pr: pr, load: make([]float64, pr.N())}
-}
-
 func (d *detAccum) AddLink(i int) {
 	for j := range d.load {
 		if j != i {

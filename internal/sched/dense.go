@@ -17,9 +17,9 @@ import (
 // receiver coordinates, the per-receiver constant K_j = γ_th·d_jj^α/p_j)
 // from the LinkSet and nothing more.
 //
-// row(i) — behind Accum/tileAccum.AddLink and ForEachAffected — fills
-// sender i's row with radio.FieldKernel.FactorRow the first time it is
-// asked for and publishes it with one atomic compare-and-swap. Solves
+// row(i) — behind Accum.AddLink and ForEachAffected — fills sender
+// i's row with radio.FieldKernel.FactorRow the first time it is asked
+// for and publishes it with one atomic compare-and-swap. Solves
 // sharing a Prepared therefore never lock and never see a half-filled
 // row; when two race to fill the same row, the loser adopts the
 // winner's and drops its own bit-identical copy. Factor(i, j) reads a

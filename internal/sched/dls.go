@@ -166,7 +166,7 @@ func (a DLS) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (S
 		// lets each check only the links above it and stop at the first
 		// contender. Winners leave in index order, which commitRound's
 		// NACK tie-break depends on.
-		ps := scr.pickSorterBufs(len(undecided), false)
+		ps := scr.pickSorterBufs(len(undecided))
 		for k, i := range undecided {
 			ps.order[k], ps.k1[k] = i, -prio[i]
 		}

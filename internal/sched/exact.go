@@ -205,7 +205,7 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, sp obs.Span) (
 		}
 	}
 	// The accumulator starts at each receiver's noise term so the
-	// Informed checks in tryInclude test the full noise-aware budget
+	// admission test in tryInclude checks the full noise-aware budget
 	// (identical to plain Corollary 3.1 when N0 = 0).
 	build(0, nil, NewAccum(pr), 0)
 	prep.Add(obs.KeySubtreeTasks, int64(len(tasks)))
@@ -241,18 +241,14 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, sp obs.Span) (
 }
 
 // tryInclude returns the accumulator state after adding sender i to
-// set, or ok=false when the grown set violates any member's budget
-// (including i's own). acc is not mutated: branches clone rather than
-// add-and-undo, so backtracking is bit-exact (a remove only restores
-// the value, not necessarily the bits, near the feasibility slack).
+// set, or ok=false when Accum.fits finds the grown set violating any
+// member's budget (including i's own). acc is not mutated: branches
+// clone rather than add-and-undo, so backtracking is bit-exact (a
+// remove only restores the value, not necessarily the bits, near the
+// feasibility slack).
 func tryInclude(pr *Problem, set []int, acc *Accum, i int) (*Accum, bool) {
-	if !pr.Params.Informed(acc.Load(i)) {
+	if !acc.fits(pr.Params, i, set, acc.gammaEps) {
 		return nil, false
-	}
-	for _, j := range set {
-		if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
-			return nil, false
-		}
 	}
 	ni := acc.Clone()
 	ni.AddLink(i)

@@ -3,9 +3,11 @@ package sched
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/radio"
 )
 
 // Greedy is the natural rate-greedy insertion heuristic: consider links
@@ -67,12 +69,9 @@ func (sel Selection) admits(i int) bool {
 }
 
 // scheduleRestricted is solve generalized over a Selection, recording
-// its phases under sp.
-// It lists the links the selection admits, in index order, and
-// stable-sorts only that list: a stable sort restricted to a subset
-// equals the stable sort of that subset, so the pick order — and with
-// it the schedule — matches a sub-problem solve over the same links.
-// The zero Selection lists every link, which is plain greedy.
+// its phases under sp: greedyOrder lists the candidates, greedyInsert
+// admits them. The zero Selection lists every link, which is plain
+// greedy.
 //
 // Greedy reads only candidates' loads (each one's own budget and the
 // active receivers'), so when the list is a strict subset the
@@ -80,34 +79,8 @@ func (sel Selection) admits(i int) bool {
 // traffic run costs an O(n) selection scan plus sort and accumulation
 // over its m candidates.
 func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp obs.Span, dst []int) Schedule {
-	n := pr.N()
-	// Pick order: descending rate, ties by ascending length, then by
-	// index (sort.Stable over an index-ordered list). Keys are negated
-	// so the shared ascending two-key sorter realizes the descending
-	// order. With weights the primary key is the weight and rate
-	// breaks ties.
 	ph := sp.Child("sort")
-	cands := intsIn(&scr.cands, n)[:0]
-	for i := 0; i < n; i++ {
-		if sel.admits(i) {
-			cands = append(cands, i)
-		}
-	}
-	scr.cands = cands
-	ps := scr.pickSorterBufs(len(cands), true)
-	copy(ps.order, cands)
-	if sel.Weights == nil {
-		for k, i := range cands {
-			ps.k1[k] = -pr.Links.Rate(i)
-			ps.k2[k] = pr.Links.Length(i)
-		}
-	} else {
-		for k, i := range cands {
-			ps.k1[k] = -sel.Weights[i]
-			ps.k2[k] = -pr.Links.Rate(i)
-		}
-	}
-	sort.Stable(ps)
+	order := greedyOrder(pr, scr, sel)
 	ph.End()
 
 	// acc tracks each receiver's total budget usage: its noise term
@@ -115,24 +88,150 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp 
 	// set. Greedy needs no headroom slack — it checks the exact budget.
 	ph = sp.Child("insert")
 	acc := scr.noiseAccum(pr)
-	if len(cands) < n {
-		acc.only = cands
+	if len(order) < pr.N() {
+		acc.only = order
 	}
-	active := scr.activeBuf(n)
+	active, rejected := greedyInsert(pr, scr, acc, order)
+	ph.Add(obs.KeyAdmitted, int64(len(active)))
+	ph.Add(obs.KeyRejected, int64(rejected))
+	ph.End()
+	return finishSchedule(g.Name(), active, dst)
+}
+
+// greedyOrder returns the links sel admits in the greedy pick order:
+// descending rate, ties by ascending length, then by index — or, with
+// weights, descending weight, ties by descending rate, then by index.
+// Keys are negated so the shared ascending two-key sorter realizes the
+// descending order. It lists the admitted links in index order and
+// stable-sorts only that list: a stable sort restricted to a subset
+// equals the stable sort of that subset, so the pick order — and with
+// it the schedule — matches a sub-problem solve over the same links,
+// and a tile's order-contiguous run is the order its members would be
+// reached in. The result lives in scr's sorter.
+func greedyOrder(pr *Problem, scr *Scratch, sel Selection) []int {
+	n := pr.N()
+	ps := &scr.sorter
+	order := intsIn(&ps.order, n)[:0]
+	for i := 0; i < n; i++ {
+		if sel.admits(i) {
+			order = append(order, i)
+		}
+	}
+	ps.order = order
+	ps.k1 = floatsIn(&ps.k1, len(order))
+	ps.k2 = floatsIn(&ps.k2, len(order))
+	if sel.Weights == nil {
+		for k, i := range order {
+			ps.k1[k] = -pr.Links.Rate(i)
+			ps.k2[k] = pr.Links.Length(i)
+		}
+	} else {
+		for k, i := range order {
+			ps.k1[k] = -sel.Weights[i]
+			ps.k2[k] = -pr.Links.Rate(i)
+		}
+	}
+	sort.Stable(ps)
+	return ps.order
+}
+
+// insert is the greedy insertion loop: it walks order and admits each
+// sender that fits against budget, appending it to active. It returns
+// the grown active set and the number of senders rejected.
+func insert(p radio.Params, acc *Accum, order []int, budget float64, active []int) ([]int, int) {
 	rejected := 0
-	for _, i := range ps.order {
-		// Candidate's own budget with the current set (Informed applies
-		// the same rounding slack as the Verify cross-check).
-		if !pr.Params.Informed(acc.Load(i)) {
+	for _, i := range order {
+		if !acc.fits(p, i, active, budget) {
 			rejected++
 			continue
 		}
-		// Would adding sender i push any active receiver over budget?
+		acc.AddLink(i)
+		active = append(active, i)
+	}
+	return active, rejected
+}
+
+// greedyInsert is the full-budget greedy insertion over an explicit
+// candidate order, from acc's state (an empty active set over noise
+// loads). Greedy runs it over its pick order, greedy-sharded over the
+// global order (one tile) or the tile winners (merge pass). On
+// tail-bounded (sparse) fields it runs prunedInsert, which admits and
+// rejects the same senders as insert in O(stored degree) per candidate
+// instead of Θ(|active|).
+func greedyInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) (active []int, rejected int) {
+	if acc.hasTail {
+		active, rejected = prunedInsert(pr, scr, acc, order)
+	} else {
+		active, rejected = insert(pr.Params, acc, order, acc.gammaEps, scr.activeBuf(pr.N()))
+	}
+	scr.active = active
+	return active, rejected
+}
+
+// prunedInsert is insert's fast path for tail-bounded (sparse) fields,
+// from an empty active set against the full budget. The plain loop
+// pays Θ(|active|) per candidate, and near budget saturation almost
+// every candidate is rejected by *some* active receiver, so the scan
+// degenerates to Θ(n·|active|). This path decides each candidate in
+// O(stored degree of its sender) using the structure of the
+// conservative load model.
+//
+// For an active receiver j with no stored factor from candidate i,
+// the plain check Load(j) + Contribution(i,j) ≤ γ_ε expands to
+//
+//	m_j + TailBound(j)·(actPow + P_i) ≤ γ_ε,
+//	m_j = load_j − TailBound(j)·nearPow_j,
+//
+// and, once j is active, m_j only grows as further links join: a
+// stored factor dominates the tail charge it displaces (f ≥ tail·P
+// for every stored pair, by the truncation-radius construction), and
+// unstored joins leave m_j untouched. A running maximum M over active
+// receivers' m_j therefore answers every far check at once. With the
+// per-receiver tail spread over [tmin, tmax] (analytically the bounds
+// coincide at cutoff/pmax; only pow() rounding separates them), the
+// candidate is safe to accept on the far side when even the tmax form
+// fits the budget, and safe to reject when even the tmin form
+// overflows — for the arg-max receiver a stored factor from i could
+// only raise its exact check above the far form. Between the two
+// (a band ~10⁻⁹ of the budget wide, versus a decision granularity of
+// one whole tail charge) Accum.fits decides.
+//
+// Stored active neighbors — the O(degree) near field — are checked
+// with exactly fits' expression, so the admitted set and pick order
+// are identical to insert's on every input;
+// TestGreedyInsertMatchesPlainLoop pins that equivalence.
+func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) ([]int, int) {
+	p, budget := pr.Params, acc.gammaEps
+	active := scr.activeBuf(pr.N())
+	rejected := 0
+	isActive := boolsIn(&scr.insAct, pr.N())
+	m := func(j int) float64 { return acc.load[j] - acc.tail[j]*acc.nearPow[j] }
+	M := math.Inf(-1)
+	for _, i := range order {
+		if !p.InformedBudget(acc.Load(i), budget) {
+			rejected++
+			continue
+		}
 		ok := true
-		for _, j := range active {
-			if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
+		if len(active) > 0 {
+			aPrime := acc.actPow + acc.field.PowerOf(i)
+			margin := 1e-9 * (budget + math.Abs(M) + acc.tmax*aPrime)
+			if !p.InformedBudget(M+acc.tmin*aPrime-margin, budget) {
+				// Even the weakest tail charge overflows the most loaded
+				// receiver: every variant of its exact check fails too.
 				ok = false
-				break
+			} else if p.InformedBudget(M+acc.tmax*aPrime+margin, budget) {
+				// Far field clears the budget everywhere; only stored
+				// active neighbors can still object.
+				acc.field.ForEachAffected(i, func(j int, f float64) {
+					if ok && isActive[j] && !p.InformedBudget(acc.Load(j)+f, budget) {
+						ok = false
+					}
+				})
+			} else {
+				// Margin band: rounding could flip the bound tests, so
+				// let the exact scan decide.
+				ok = acc.fits(p, i, active, budget)
 			}
 		}
 		if !ok {
@@ -140,13 +239,20 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp 
 			continue
 		}
 		acc.AddLink(i)
+		isActive[i] = true
 		active = append(active, i)
+		if v := m(i); v > M {
+			M = v
+		}
+		acc.field.ForEachAffected(i, func(j int, _ float64) {
+			if isActive[j] {
+				if v := m(j); v > M {
+					M = v
+				}
+			}
+		})
 	}
-	scr.active = active
-	ph.Add(obs.KeyAdmitted, int64(len(active)))
-	ph.Add(obs.KeyRejected, int64(rejected))
-	ph.End()
-	return finishSchedule(g.Name(), active, dst)
+	return active, rejected
 }
 
 func init() {

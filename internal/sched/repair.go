@@ -24,13 +24,14 @@ func Repair(pr *Problem, s Schedule) Schedule {
 	for _, i := range active {
 		alive[i] = true
 	}
+	gammaEps := pr.GammaEps()
 	for {
 		worst, worstVal := -1, 0.0
 		for _, j := range active {
 			if !alive[j] {
 				continue
 			}
-			if v := acc.Load(j); !pr.Params.Informed(v) && v > worstVal {
+			if v := acc.Load(j); !pr.Params.InformedBudget(v, gammaEps) && v > worstVal {
 				worst, worstVal = j, v
 			}
 		}

@@ -93,7 +93,7 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, sp obs.Span, scr *S
 	n := pr.N()
 	// Pick order: ascending link length, ties by index (deterministic).
 	ph := sp.Child("sort")
-	ps := scr.pickSorterBufs(n, false)
+	ps := scr.pickSorterBufs(n)
 	for i := 0; i < n; i++ {
 		ps.k1[i] = pr.Links.Length(i)
 	}

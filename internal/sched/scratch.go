@@ -25,7 +25,6 @@ type Scratch struct {
 	pp *Prepared
 
 	sorter  pickSorter
-	cands   []int // a selection-restricted greedy's candidates, index order
 	active  []int
 	alive   []bool
 	usable  []bool
@@ -36,12 +35,9 @@ type Scratch struct {
 	acc2    Accum
 	det     detAccum
 
-	// Tile-sharded solver state (shard.go): the partition/merge
-	// workspace, lazily allocated, the tile-local accumulator a
-	// worker-checked-out Scratch solves its tiles through, and the
-	// pruned insertion loop's active-membership marks.
+	// The tile-sharded solver's partition/merge workspace (shard.go),
+	// lazily allocated, and prunedInsert's active-membership marks.
 	shard  *shardBufs
-	tacc   tileAccum
 	insAct []bool
 
 	// DLS round state.
@@ -125,17 +121,13 @@ func (s *pickSorter) Swap(a, b int) {
 }
 
 // pickSorterBufs returns the scratch sorter with order = identity and
-// key buffers sized n (keys uninitialized; callers fill then
-// sort.Stable). twoKeys selects whether the secondary key participates.
-func (s *Scratch) pickSorterBufs(n int, twoKeys bool) *pickSorter {
+// one key buffer sized n (keys uninitialized; callers fill then
+// sort.Stable). greedyOrder sets up the two-key form itself.
+func (s *Scratch) pickSorterBufs(n int) *pickSorter {
 	ps := &s.sorter
 	ps.order = intsIn(&ps.order, n)
 	ps.k1 = floatsIn(&ps.k1, n)
-	if twoKeys {
-		ps.k2 = floatsIn(&ps.k2, n)
-	} else {
-		ps.k2 = nil
-	}
+	ps.k2 = nil
 	for i := range ps.order {
 		ps.order[i] = i
 	}

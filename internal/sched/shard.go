@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -140,34 +139,26 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 	n := pr.N()
 	k := a.tileCount(n)
 
-	// Global pick order: identical keys to Greedy (descending rate,
-	// ties by ascending length, then index — sort.Stable). Tiles consume
-	// order-contiguous subsequences of it, and a stable sort restricted
-	// to a subset equals the stable sort of that subset, so every tile
-	// considers its members in exactly the order the unsharded greedy
-	// would have reached them.
+	// Global pick order: Greedy's. Tiles consume order-contiguous
+	// subsequences of it, so every tile considers its members in
+	// exactly the order the unsharded greedy would have reached them.
 	ph := sp.Child("sort")
-	ps := scr.pickSorterBufs(n, true)
-	for i := 0; i < n; i++ {
-		ps.k1[i] = -pr.Links.Rate(i)
-		ps.k2[i] = pr.Links.Length(i)
-	}
-	sort.Stable(ps)
+	order := greedyOrder(pr, scr, Selection{})
 	ph.End()
 
 	if k <= 1 {
-		return a.finishUnsharded(pr, scr, ps.order, sp, dst), nil
+		return a.finishUnsharded(pr, scr, order, sp, dst), nil
 	}
 
 	sb := scr.shardState()
 	ph = sp.Child("tile_partition")
-	tiles := sb.partition(pr, scr, k, ps.order)
+	tiles := sb.partition(pr, scr, k, order)
 	ph.SetInt("requested", int64(k))
 	if tiles <= 1 {
 		// Degenerate geometry (all receivers in one cell): the tile pass
 		// would just be the global pass with a smaller budget.
 		ph.End()
-		return a.finishUnsharded(pr, scr, ps.order, sp, dst), nil
+		return a.finishUnsharded(pr, scr, order, sp, dst), nil
 	}
 	ph.Add(obs.KeyTiles, int64(tiles))
 	ph.End()
@@ -181,7 +172,7 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 	// depends only on tile t's members and order.
 	budget := pr.GammaEps() * (1 - a.reserveFrac())
 	workers := min(runtime.GOMAXPROCS(0), tiles)
-	sb.admitted = int32sIn(&sb.admitted, n)
+	sb.admitted = intsIn(&sb.admitted, n)
 	var cursor atomic.Int64
 	var tileRejected atomic.Int64
 	var wg sync.WaitGroup
@@ -192,7 +183,10 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 			wsp := sp.Child("tile_solve")
 			wscr, release := tileScratch(scr)
 			defer release()
-			ta := wscr.tileAccum(pr, sb.tileOf)
+			// Tile solves see interference from their own members only:
+			// restrict rescopes the worker's accumulator per tile, and
+			// the greedy insertion runs against the reserved budget.
+			acc := wscr.zeroAccum(pr)
 			var visited, rejected int
 			for {
 				t := int(cursor.Add(1)) - 1
@@ -201,32 +195,9 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 				}
 				lo, hi := sb.tileStart[t], sb.tileStart[t+1]
 				members := sb.tileOrder[lo:hi]
-				ta.begin(int32(t), members)
-				adm := sb.admitted[lo:lo]
-				for _, m := range members {
-					i := int(m)
-					// The Greedy insert check against the reserved budget:
-					// candidate's own load, then the delta on every
-					// already-admitted tile member.
-					if !pr.Params.InformedBudget(ta.Load(i), budget) {
-						rejected++
-						continue
-					}
-					ok := true
-					for _, j32 := range adm {
-						j := int(j32)
-						if !pr.Params.InformedBudget(ta.Load(j)+ta.Contribution(i, j), budget) {
-							ok = false
-							break
-						}
-					}
-					if !ok {
-						rejected++
-						continue
-					}
-					ta.AddLink(i)
-					adm = append(adm, m)
-				}
+				acc.restrict(members)
+				adm, rej := insert(pr.Params, acc, members, budget, sb.admitted[lo:lo])
+				rejected += rej
 				sb.admCount[t] = int32(len(adm))
 				visited += len(members)
 				// Live progress for mid-solve stats reads
@@ -260,13 +231,13 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 		sb.cand = make([]int, 0, n)
 	}
 	cand := sb.cand[:0]
-	for _, i := range ps.order {
+	for _, i := range order {
 		if mark[i] {
 			cand = append(cand, i)
 		}
 	}
 	sb.cand = cand
-	active, repairs := greedyInsert(pr, scr, cand)
+	active, repairs := greedyInsert(pr, scr, scr.noiseAccum(pr), cand)
 	ph.SetInt("candidates", int64(len(cand)))
 	ph.Add(obs.KeyBoundaryRepairs, int64(repairs))
 	ph.Add(obs.KeyAdmitted, int64(len(active)))
@@ -280,153 +251,13 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 // activation set (only the algorithm label differs).
 func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, sp obs.Span, dst []int) Schedule {
 	ph := sp.Child("tile_merge")
-	active, rejected := greedyInsert(pr, scr, order)
+	active, rejected := greedyInsert(pr, scr, scr.noiseAccum(pr), order)
 	ph.SetInt("candidates", int64(len(order)))
 	ph.Add(obs.KeyTiles, 1)
 	ph.Add(obs.KeyAdmitted, int64(len(active)))
 	ph.Add(obs.KeyRejected, int64(rejected))
 	ph.End()
 	return finishSchedule(a.Name(), active, dst)
-}
-
-// greedyInsert is Greedy's insertion loop over an explicit candidate
-// order: full γ_ε budget, same Informed checks, same accumulator. It
-// is shared by the single-tile path (order = all links) and the merge
-// pass (order = tile winners), which is what makes both of them exact
-// restrictions of the unsharded greedy. On tail-bounded (sparse)
-// fields the loop runs through prunedInsert, which admits and rejects
-// the same set in O(stored degree) per candidate instead of
-// Θ(|active|).
-func greedyInsert(pr *Problem, scr *Scratch, order []int) (active []int, rejected int) {
-	acc := scr.noiseAccum(pr)
-	active = scr.activeBuf(pr.N())
-	if acc.hasTail {
-		active, rejected = prunedInsert(pr, scr, acc, active, order)
-		scr.active = active
-		return active, rejected
-	}
-	for _, i := range order {
-		if !pr.Params.Informed(acc.Load(i)) {
-			rejected++
-			continue
-		}
-		ok := true
-		for _, j := range active {
-			if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			rejected++
-			continue
-		}
-		acc.AddLink(i)
-		active = append(active, i)
-	}
-	scr.active = active
-	return active, rejected
-}
-
-// prunedInsert is greedyInsert's fast path for tail-bounded (sparse)
-// fields. The plain loop pays Θ(|active|) per candidate, and near
-// budget saturation almost every candidate is rejected by *some*
-// active receiver, so the scan degenerates to Θ(n·|active|) — the
-// wall that dominates unsharded solves past n ≈ 10⁴. This path
-// decides each candidate in O(stored degree of its sender) using the
-// structure of the conservative load model.
-//
-// For an active receiver j with no stored factor from candidate i,
-// the plain check Load(j) + Contribution(i,j) ≤ γ_ε expands to
-//
-//	m_j + TailBound(j)·(actPow + P_i) ≤ γ_ε,
-//	m_j = load_j − TailBound(j)·nearPow_j,
-//
-// and, once j is active, m_j only grows as further links join: a
-// stored factor dominates the tail charge it displaces (f ≥ tail·P
-// for every stored pair, by the truncation-radius construction), and
-// unstored joins leave m_j untouched. A running maximum M over active
-// receivers' m_j therefore answers every far check at once. With the
-// per-receiver tail spread over [tmin, tmax] (analytically the bounds
-// coincide at cutoff/pmax; only pow() rounding separates them), the
-// candidate is safe to accept on the far side when even the tmax form
-// fits the budget, and safe to reject when even the tmin form
-// overflows — for the arg-max receiver a stored factor from i could
-// only raise its exact check above the far form. Between the two
-// (a band ~10⁻⁹ of the budget wide, versus a decision granularity of
-// one whole tail charge) the plain scan decides.
-//
-// Stored active neighbors — the O(degree) near field — are checked
-// with exactly the plain loop's expression, so the admitted set is
-// identical to plain greedyInsert's on every input; the shards=1 ≡
-// Greedy differential tests pin that equivalence.
-func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, active []int, order []int) ([]int, int) {
-	rejected := 0
-	isActive := boolsIn(&scr.insAct, pr.N())
-	for _, j := range active {
-		isActive[j] = true // pre-seeded active sets (none today) stay correct
-	}
-	tmin, tmax := math.Inf(1), math.Inf(-1)
-	for _, t := range acc.tail {
-		tmin = math.Min(tmin, t)
-		tmax = math.Max(tmax, t)
-	}
-	m := func(j int) float64 { return acc.load[j] - acc.tail[j]*acc.nearPow[j] }
-	M := math.Inf(-1)
-	for _, j := range active {
-		M = math.Max(M, m(j))
-	}
-	for _, i := range order {
-		if !pr.Params.Informed(acc.Load(i)) {
-			rejected++
-			continue
-		}
-		ok := true
-		if len(active) > 0 {
-			aPrime := acc.actPow + acc.field.PowerOf(i)
-			margin := 1e-9 * (acc.gammaEps + math.Abs(M) + tmax*aPrime)
-			if !pr.Params.Informed(M + tmin*aPrime - margin) {
-				// Even the weakest tail charge overflows the most loaded
-				// receiver: every variant of its exact check fails too.
-				ok = false
-			} else if pr.Params.Informed(M + tmax*aPrime + margin) {
-				// Far field clears the budget everywhere; only stored
-				// active neighbors can still object.
-				acc.field.ForEachAffected(i, func(j int, f float64) {
-					if ok && isActive[j] && !pr.Params.Informed(acc.Load(j)+f) {
-						ok = false
-					}
-				})
-			} else {
-				// Margin band: rounding could flip the bound tests, so
-				// let the exact scan decide.
-				for _, j := range active {
-					if !pr.Params.Informed(acc.Load(j) + acc.Contribution(i, j)) {
-						ok = false
-						break
-					}
-				}
-			}
-		}
-		if !ok {
-			rejected++
-			continue
-		}
-		acc.AddLink(i)
-		isActive[i] = true
-		active = append(active, i)
-		if v := m(i); v > M {
-			M = v
-		}
-		acc.field.ForEachAffected(i, func(j int, _ float64) {
-			if isActive[j] {
-				if v := m(j); v > M {
-					M = v
-				}
-			}
-		})
-	}
-	return active, rejected
 }
 
 // tileScratch checks a worker-private Scratch out of the owning
@@ -451,8 +282,8 @@ type shardBufs struct {
 	cellTile  []int32 // grid cell → compact tile id (-1 empty)
 	count     []int32 // per-cell then per-tile cursor scratch
 	tileStart []int32 // CSR starts into tileOrder/admitted, len tiles+1
-	tileOrder []int32 // links grouped by tile, each group in pick order
-	admitted  []int32 // per-tile admissions at the tile's CSR offsets
+	tileOrder []int   // links grouped by tile, each group in pick order
+	admitted  []int   // per-tile admissions at the tile's CSR offsets
 	admCount  []int32 // per-tile admission counts
 	mark      []bool  // merge candidate membership
 	cand      []int   // merge candidates in global pick order
@@ -537,141 +368,17 @@ func (sb *shardBufs) partition(pr *Problem, scr *Scratch, k int, order []int) in
 	for t := 0; t < tiles; t++ {
 		sb.tileStart[t+1] += sb.tileStart[t]
 	}
-	sb.tileOrder = int32sIn(&sb.tileOrder, n)
+	sb.tileOrder = intsIn(&sb.tileOrder, n)
 	sb.count = int32sIn(&sb.count, tiles)
 	clear(sb.count)
 	for _, i := range order {
 		t := sb.tileOf[i]
-		sb.tileOrder[sb.tileStart[t]+sb.count[t]] = int32(i)
+		sb.tileOrder[sb.tileStart[t]+sb.count[t]] = i
 		sb.count[t]++
 	}
 	sb.admCount = int32sIn(&sb.admCount, tiles)
 	clear(sb.admCount)
 	return tiles
-}
-
-// tileAccum is the tile-local feasibility accumulator: Accum's
-// conservative load model restricted to one tile's receivers. It
-// indexes by global link id but initializes and reads only current-
-// tile members, so beginning a tile costs O(tile) instead of O(n) and
-// a dense AddLink walks the member list instead of the whole row.
-// Cross-tile active senders never contribute — that is exactly the
-// blind spot the reserved budget covers and the merge pass repairs.
-//
-// The sparse far-field bookkeeping mirrors Accum: actPow totals the
-// power of active *tile* senders, nearPow[j] the share of it already
-// stored on j (or belonging to j itself), and Load charges the
-// remainder through the tail bound — the same conservative tail the
-// unsharded accumulator uses, scoped to the tile's active set.
-type tileAccum struct {
-	field   InterferenceField
-	dense   *DenseField
-	tileOf  []int32
-	tile    int32
-	members []int32
-	load    []float64
-	nearPow []float64
-	tail    []float64
-	actPow  float64
-	hasTail bool
-}
-
-// tileAccum returns the scratch tile accumulator bound to pr's field
-// and the given receiver→tile map.
-func (s *Scratch) tileAccum(pr *Problem, tileOf []int32) *tileAccum {
-	a := &s.tacc
-	f := pr.field
-	n := f.N()
-	a.field = f
-	a.dense, _ = f.(*DenseField)
-	a.tileOf = tileOf
-	a.load = floatsIn(&a.load, n)
-	a.hasTail = false
-	if a.dense == nil {
-		for j := 0; j < n; j++ {
-			if f.TailBound(j) > 0 {
-				a.hasTail = true
-				break
-			}
-		}
-	}
-	if a.hasTail {
-		a.nearPow = floatsIn(&a.nearPow, n)
-		a.tail = floatsIn(&a.tail, n)
-		for j := 0; j < n; j++ {
-			a.tail[j] = f.TailBound(j)
-		}
-	} else {
-		a.nearPow, a.tail = nil, nil
-	}
-	return a
-}
-
-// begin resets the accumulator for one tile: members' loads start at
-// their noise terms, everything else is left stale (never read).
-func (a *tileAccum) begin(tile int32, members []int32) {
-	a.tile, a.members, a.actPow = tile, members, 0
-	for _, m := range members {
-		a.load[m] = a.field.NoiseTerm(int(m))
-		if a.hasTail {
-			a.nearPow[m] = 0
-		}
-	}
-}
-
-// AddLink folds tile member i into the tile's active set.
-func (a *tileAccum) AddLink(i int) {
-	if a.dense != nil {
-		row := a.dense.row(i)
-		for _, m := range a.members {
-			a.load[m] += row[m] // row[i] is 0; adding it is exact
-		}
-		return
-	}
-	if !a.hasTail {
-		a.field.ForEachAffected(i, func(j int, f float64) {
-			if a.tileOf[j] == a.tile {
-				a.load[j] += f
-			}
-		})
-		return
-	}
-	pi := a.field.PowerOf(i)
-	a.field.ForEachAffected(i, func(j int, f float64) {
-		if a.tileOf[j] == a.tile {
-			a.load[j] += f
-			a.nearPow[j] += pi
-		}
-	})
-	a.nearPow[i] += pi // a link never far-interferes with its own receiver
-	a.actPow += pi
-}
-
-// Load returns tile member j's conservative load under the tile's
-// active set (see Accum.Load).
-func (a *tileAccum) Load(j int) float64 {
-	if !a.hasTail {
-		return a.load[j]
-	}
-	far := a.actPow - a.nearPow[j]
-	if far <= 0 {
-		return a.load[j]
-	}
-	return a.load[j] + a.tail[j]*far
-}
-
-// Contribution is Accum.Contribution for tile members.
-func (a *tileAccum) Contribution(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	if f := a.field.Factor(i, j); f > 0 {
-		return f
-	}
-	if a.hasTail {
-		return a.tail[j] * a.field.PowerOf(i)
-	}
-	return 0
 }
 
 func init() {

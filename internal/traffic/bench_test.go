@@ -140,3 +140,39 @@ func BenchmarkEngineLight(b *testing.B) {
 	b.ReportMetric(float64(warmup.Microseconds())/1e3, "warmup-ms")
 	b.ReportMetric(float64(cands)/float64(b.N*slots*n), "selected-frac")
 }
+
+// BenchmarkEngineLightSparse is BenchmarkEngineLight's traffic on the
+// load benchmark's solve-scale shape: n=2500 links on a sparse field
+// (region 20000·√(n/20000), α = 4.5, cutoff 1e-7), max-weight over
+// Bernoulli(0.01) arrivals, 200-slot runs. Each slot's greedy runs the
+// pruned insertion loop over a few dozen candidates, so this is the
+// shape that shows that loop's fixed per-solve costs. One untimed
+// warm-up run precedes the timed ones.
+func BenchmarkEngineLightSparse(b *testing.B) {
+	const (
+		n     = 2500
+		slots = 200
+	)
+	pp := scalePrepared(b, n, 51)
+	var cands int64
+	run := func(seed uint64) {
+		eng, err := New(pp, Config{Slots: slots, Arrivals: Bernoulli{P: 0.01}, Policy: PolicyMaxWeight, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := eng.Run(context.Background()); res.Delivered == 0 {
+			b.Fatal("nothing delivered")
+		}
+		cands += eng.candidates
+	}
+	run(0)
+	cands = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i + 1))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*slots)/b.Elapsed().Seconds(), "slots/sec")
+	b.ReportMetric(float64(cands)/float64(b.N*slots*n), "selected-frac")
+}

@@ -10,8 +10,9 @@
 # 0 allocs/op warm span path), the schedd end-to-end paths (cold /
 # prepared-field / response-cache-warm / batch), the traffic engine
 # (per-slot cost, the ≥1M-packet n=5000 throughput run with its
-# packets/sec metric, and the light n=2000 max-weight run the load
-# benchmark's traffic has), the DLS solve on a quadrant-listed n=2000
+# packets/sec metric, the light n=2000 max-weight run the load
+# benchmark's traffic has, and the same traffic on the sparse n=2500
+# solve-scale shape), the DLS solve on a quadrant-listed n=2000
 # set, the streaming-session event loop at n=2000, and
 # the tile-sharded scale records: sharded-vs-unsharded greedy at
 # n=5000/20000 plus the n=100000 sparse build + sharded solve.
@@ -107,13 +108,13 @@ gate)
     run . 'BenchmarkNewProblem$' "$buildbenchtime"
     run . 'BenchmarkSolveColdBuild$|BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$'
     # Sharded-vs-unsharded at n=5000/20000: a fixed 3-iteration budget
-    # (the n=20000 unsharded greedy alone runs seconds per iteration).
+    # (the n=20000 sharded solve runs hundreds of ms per iteration).
     run . 'BenchmarkShardedVsGreedy$' 3x
     # The n=100000 scale record is single-iteration by design; its
     # low_iter flag keeps benchcmp advisory on it.
     run . 'BenchmarkSharded100k$' 1x
     run ./internal/server/ 'BenchmarkSolveColdVsWarm$|BenchmarkSolveBatch$|BenchmarkSessionEvents$'
-    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$'
+    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$|BenchmarkEngineLightSparse$'
     run ./internal/sched/ 'BenchmarkDLS$'
     run ./internal/mc/ 'BenchmarkSimulateWarm$'
     # The span-tracing overhead record: the warm span lifecycle must

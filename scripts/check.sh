@@ -137,11 +137,24 @@ echo "== verify-once differential gate"
 # algorithm, and random infeasible subsets.
 go test -run 'TestAssessMatchesLegacyThreePass' -count=1 ./internal/sched/
 
+echo "== greedy insertion differential gate"
+# Under -race, uncached: greedyInsert's pruned path for sparse fields
+# against the plain insert loop (the conformance sparse instances, the
+# solve-scale shape, a clustered, a spread-tail and a noisy set; over
+# Greedy's own order and a Mask and a Weights selection's: admitted
+# lists in pick order and rejected counts equal), and greedy-sharded's
+# tile pass against a copy of the former tileAccum loop (each tile's
+# admissions, the tile rejections and the merged schedule equal; dense
+# and sparse, uniform and clustered, shards × reserve, GOMAXPROCS 1
+# and 2).
+go test -race -run 'TestGreedyInsertMatchesPlainLoop|TestShardedTilePassMatchesLegacy' -count=1 ./internal/sched/
+
 echo "== sharded solver gate"
 # The tile-sharded solver under -race: the tile-worker concurrency
-# test, the shards=1 ≡ greedy bit-identity and Monte-Carlo feasibility
-# oracles, and the clustered-layout fuzz seeds (`make test-shard`).
-go test -race -run 'TestSharded|FuzzShardedFeasible' -count=1 ./internal/sched/
+# test, the tile pass against its former loop, the shards=1 ≡ greedy
+# bit-identity and Monte-Carlo feasibility oracles, and the
+# clustered-layout fuzz seeds (`make test-shard`).
+go test -race -run 'TestSharded|TestGreedyInsertMatchesPlainLoop|FuzzShardedFeasible' -count=1 ./internal/sched/
 
 echo "== experiment determinism gate"
 # Every table folds its (x, instance) results in index order, so its
