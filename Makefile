@@ -37,7 +37,7 @@ bench-field:
 	$(GO) test -run '^$$' -bench 'BenchmarkFieldFill' -benchtime 2s -count=1 ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkLog1pPos$$|BenchmarkLog1pStdlib$$|BenchmarkHalfPow' -count=1 ./internal/mathx/
 
-## bench-json: the full performance suite → BENCH_PR17.json
+## bench-json: the full performance suite → BENCH_PR19.json
 ## (Fig 5a, the Monte-Carlo solve_mc shape, field build, cold vs warm-prepared solve traced and
 ## untraced, sharded-vs-unsharded greedy plus the n=100k scale record,
 ## schedd end-to-end, traffic engine, streaming-session event loop,
@@ -54,17 +54,18 @@ bench-shard:
 ## test-shard: the tile-sharded solver suite under the race detector —
 ## tile-worker concurrency, the tile pass and the pruned greedy
 ## insertion against their plain-loop references, the shards=1 ≡
-## greedy bit-identity and Monte-Carlo feasibility oracles, and the
-## clustered-layout fuzz seeds
+## greedy bit-identity and Monte-Carlo feasibility oracles, tile passes
+## renting rows of a fresh dense field against a fully resident one,
+## and the clustered-layout fuzz seeds
 test-shard:
-	$(GO) test -race -run 'TestSharded|TestGreedyInsertMatchesPlainLoop|FuzzShardedFeasible' -count=1 ./internal/sched/
+	$(GO) test -race -run 'TestSharded|TestGreedyInsertMatchesPlainLoop|TestDenseScopedWalksMatchResident|FuzzShardedFeasible' -count=1 ./internal/sched/
 
 ## bench-traffic: traffic-engine per-slot cost (0 allocs/op), the
 ## ≥1M-packet n=5000 throughput run with its packets/sec metric, and
-## the light max-weight runs (dense n=2000, sparse n=2500) with their
-## slots/sec metric
+## the max-weight runs (dense n=2000 light and at Bernoulli 0.03,
+## sparse n=2500 light) with their slots/sec metric
 bench-traffic:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineStep$$|BenchmarkEngineThroughput$$|BenchmarkEngineLight$$|BenchmarkEngineLightSparse$$' ./internal/traffic/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineStep$$|BenchmarkEngineThroughput$$|BenchmarkEngineLight$$|BenchmarkEngineMid$$|BenchmarkEngineLightSparse$$' ./internal/traffic/
 
 ## bench-serve: schedd cold/prepared-field/warm cache benchmark (n=1000)
 bench-serve:

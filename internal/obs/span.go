@@ -16,10 +16,10 @@ import (
 const DefaultMaxSpans = 256
 
 // maxSpanAttrs is the inline attribute capacity per span. Setters past
-// the cap are dropped silently; six covers every call site in the repo
-// (DLS's rounds phase carries five counters, a schedd solve span six
-// attributes) and keeps the record fixed-size (no per-attr allocation).
-const maxSpanAttrs = 6
+// the cap are dropped silently; seven covers every call site in the
+// repo (a schedd solve span carries six attributes, a traffic run
+// seven) and keeps the record fixed-size (no per-attr allocation).
+const maxSpanAttrs = 7
 
 // AttrKind discriminates the typed attribute slots.
 type AttrKind uint8

@@ -15,6 +15,9 @@
 // engine: it decides one receiver's slot outcome from the row's draws,
 // evaluating only the signal's exponential unless the bit-length
 // bracket on the interferers' exponentials straddles γ_th.
+// RowOutcomeBounds does the same from bounds on the interferers' mean
+// gains, which MeanBracket supplies from squared distances without
+// math.Pow.
 //
 // Noise is ignored throughout (paper Eq. 8, following [14,15,19]); the
 // Params type still carries N0 so callers can enable it and quantify

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math"
-
-	"repro/internal/radio"
-)
+import "repro/internal/radio"
 
 // Accum is the incremental feasibility accumulator every scheduler
 // maintains its working interference state in. It tracks, per receiver
@@ -32,18 +28,22 @@ type Accum struct {
 	// only, when non-nil, limits the dense AddLink walk to these
 	// receivers, leaving every other receiver's load meaningless: a
 	// selection-restricted greedy reads its candidates' loads and
-	// nothing else (see Greedy.scheduleRestricted), and a tile solve
-	// its members' (restrict). Sparse walks ignore it; reset clears it.
+	// nothing else (see Greedy.scheduleRestricted), a tile solve its
+	// members' and the sharded merge its winners' (restrict). Such a
+	// scoped walk rents unfilled rows (DenseField.rent) in the epoch
+	// restrict drew. Sparse walks ignore it; reset clears it.
 	only     []int
+	epoch    uint32
 	gammaEps float64
 	load     []float64
 	// nearPow[j] = Σ P_i over active i whose factor on j is stored,
 	// plus P_j when j itself is active (a link never far-interferes
 	// with its own receiver). Unused (nil) when hasTail is false.
 	nearPow []float64
-	tail    []float64
-	// tmin and tmax bound tail from below and above (prunedInsert's
-	// far-field test); meaningful only when hasTail.
+	// tail is the sparse field's per-receiver tail bounds, read in
+	// place; tmin and tmax bound it from below and above
+	// (prunedInsert's far-field test). Meaningful only when hasTail.
+	tail       []float64
 	tmin, tmax float64
 	actPow     float64
 	hasTail    bool
@@ -75,54 +75,47 @@ func NewInterferenceAccum(pr *Problem) *Accum {
 // reusing a's buffers when capacity suffices — the scratch-pooled path
 // through which a warm Accum is reinitialized without allocating.
 func (a *Accum) reset(f InterferenceField) {
+	a.bind(f)
+	clear(a.load)
+	clear(a.nearPow)
+}
+
+// bind points a at f with an empty active set, sizing its buffers to
+// f's n without clearing them: every load is stale until reset clears
+// them all or restrict initializes a scope. A sparse field's tail
+// bounds and their extremes are read in place; the dense field
+// truncates nothing.
+func (a *Accum) bind(f InterferenceField) {
 	n := f.N()
 	a.field = f
 	a.dense, _ = f.(*DenseField)
 	a.only = nil
 	a.gammaEps = 0
 	a.load = floatsIn(&a.load, n)
-	clear(a.load)
 	a.actPow = 0
-	a.hasTail = false
-	if a.dense != nil {
-		a.nearPow, a.tail = nil, nil
-		return
-	}
-	for j := 0; j < n; j++ {
-		if f.TailBound(j) > 0 {
-			a.hasTail = true
-			break
-		}
+	a.tail, a.tmin, a.tmax, a.hasTail = nil, 0, 0, false
+	if sf, ok := f.(*SparseField); ok && sf.tailMax > 0 {
+		a.tail, a.tmin, a.tmax, a.hasTail = sf.tailCap, sf.tailMin, sf.tailMax, true
 	}
 	if !a.hasTail {
-		a.nearPow, a.tail = nil, nil
+		a.nearPow = nil
 		return
 	}
 	a.nearPow = floatsIn(&a.nearPow, n)
-	clear(a.nearPow)
-	a.tail = floatsIn(&a.tail, n)
-	tmin, tmax := math.Inf(1), math.Inf(-1)
-	for j := range a.tail {
-		t := f.TailBound(j)
-		a.tail[j] = t
-		if t < tmin {
-			tmin = t
-		}
-		if t > tmax {
-			tmax = t
-		}
-	}
-	a.tmin, a.tmax = tmin, tmax
 }
 
-// restrict scopes a to one tile's members: their loads restart at
-// their noise terms and their nearPow at zero, the active power
-// empties, and dense AddLink walks visit members only. Every other
-// receiver's load is stale until the next reset — a tile solve reads
-// its members' and nothing else, so a worker restricts once per tile
-// in O(tile) instead of resetting in O(n).
+// restrict scopes a to members — one tile's links, the tile winners
+// a sharded merge re-inserts, or a selection's listed candidates:
+// their loads restart at their noise terms and their nearPow at zero,
+// the active power empties, and dense AddLink walks visit members
+// only. Every other receiver's load is stale until the next reset —
+// each of these solves reads its members' loads and nothing else, so
+// it restricts in O(members) instead of resetting in O(n).
 func (a *Accum) restrict(members []int) {
 	a.only, a.actPow = members, 0
+	if a.dense != nil {
+		a.epoch = a.dense.epoch()
+	}
 	for _, m := range members {
 		a.load[m] = a.field.NoiseTerm(m)
 		if a.hasTail {
@@ -134,8 +127,15 @@ func (a *Accum) restrict(members []int) {
 // AddLink folds sender i into the active set.
 func (a *Accum) AddLink(i int) {
 	if a.dense != nil {
-		row := a.dense.row(i)
-		if a.only != nil {
+		if a.only == nil {
+			for j, v := range a.dense.row(i) {
+				if v > 0 {
+					a.load[j] += v
+				}
+			}
+			return
+		}
+		if row := a.dense.rent(i, len(a.only), a.epoch); row != nil {
 			for _, j := range a.only {
 				if v := row[j]; v > 0 {
 					a.load[j] += v
@@ -143,8 +143,8 @@ func (a *Accum) AddLink(i int) {
 			}
 			return
 		}
-		for j, v := range row {
-			if v > 0 {
+		for _, j := range a.only {
+			if v := a.dense.Factor(i, j); v > 0 {
 				a.load[j] += v
 			}
 		}
@@ -257,7 +257,7 @@ func (a *Accum) Clone() *Accum {
 // destinations. Like Clone, the immutable field, tail bounds and
 // receiver scope are shared, the mutable load state is copied.
 func (a *Accum) CloneInto(dst *Accum) {
-	dst.field, dst.dense, dst.only, dst.gammaEps = a.field, a.dense, a.only, a.gammaEps
+	dst.field, dst.dense, dst.only, dst.epoch, dst.gammaEps = a.field, a.dense, a.only, a.epoch, a.gammaEps
 	dst.tail, dst.tmin, dst.tmax = a.tail, a.tmin, a.tmax
 	dst.actPow, dst.hasTail = a.actPow, a.hasTail
 	dst.load = append(dst.load[:0], a.load...)

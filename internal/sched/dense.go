@@ -27,6 +27,18 @@ import (
 // without filling: the kernel consistency contract makes the two
 // bit-identical, so a field's answers never depend on which rows
 // happen to be resident.
+//
+// A scoped walk — an AddLink that needs only m receivers' entries: a
+// restricted selection's, a greedy-sharded tile's or its merge's — rents
+// instead of buying: on an unfilled row it evaluates its m entries
+// with the scalar kernel and charges m to the row (rent). Charges
+// expire: every n scoped solves on the field make an epoch, and a row
+// fills and publishes as above only when one epoch's walks charge it
+// n. Within an epoch scoped work on a row never exceeds twice the fill
+// it replaces, so across the field renting costs, amortized, under n
+// scalar evaluations per scoped solve; and a row that light traffic
+// touches now and then never becomes resident, however many runs the
+// field serves.
 type DenseField struct {
 	ls     *network.LinkSet
 	params radio.Params
@@ -37,8 +49,14 @@ type DenseField struct {
 	// filled rows.
 	rows     []atomic.Pointer[[]float64]
 	resident atomic.Int64
-	noise    []float64
-	power    []float64
+	// charge[i] holds, in its low 32 bits, the receivers scoped walks
+	// evaluated with the scalar kernel for unfilled row i in the epoch
+	// its high 32 bits name (see rent). scoped counts the scoped solves
+	// bound to the field so far (epoch).
+	charge []atomic.Uint64
+	scoped atomic.Int64
+	noise  []float64
+	power  []float64
 	// Flat kernel inputs: sender and receiver coordinates, and the
 	// hoisted per-receiver constant K.
 	sx, sy []float64
@@ -51,14 +69,15 @@ func newDenseField(ls *network.LinkSet, p radio.Params) *DenseField {
 	n := ls.Len()
 	f := &DenseField{
 		ls: ls, params: p, kern: p.FieldKernel(), n: n,
-		rows:  make([]atomic.Pointer[[]float64], n),
-		noise: make([]float64, n),
-		power: make([]float64, n),
-		sx:    make([]float64, n),
-		sy:    make([]float64, n),
-		rx:    make([]float64, n),
-		ry:    make([]float64, n),
-		kc:    make([]float64, n),
+		rows:   make([]atomic.Pointer[[]float64], n),
+		charge: make([]atomic.Uint64, n),
+		noise:  make([]float64, n),
+		power:  make([]float64, n),
+		sx:     make([]float64, n),
+		sy:     make([]float64, n),
+		rx:     make([]float64, n),
+		ry:     make([]float64, n),
+		kc:     make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		f.power[i] = p.EffectivePower(ls.Power(i))
@@ -124,9 +143,9 @@ func (f *DenseField) ForEachAffected(i int, fn func(j int, fij float64)) {
 }
 
 // Bytes implements InterferenceField: 8n per resident row, plus the
-// seven per-link float64 inputs and the row pointer.
+// seven per-link float64 inputs, the row pointer and the fill charge.
 func (f *DenseField) Bytes() int64 {
-	return 8 * int64(f.n) * (f.resident.Load() + 7 + 1)
+	return 8 * int64(f.n) * (f.resident.Load() + 7 + 1 + 1)
 }
 
 // ResidentRows reports how many sender rows have been filled so far.
@@ -148,13 +167,45 @@ func (f *DenseField) row(i int) []float64 {
 	return r
 }
 
+// epoch counts one scoped solve on f and returns the epoch it falls
+// in: the scoped solves before it, in whole multiples of n.
+func (f *DenseField) epoch() uint32 {
+	return uint32((f.scoped.Add(1) - 1) / int64(f.n))
+}
+
+// rent serves a scoped walk of epoch e over m receivers of sender i:
+// the resident row, or nil while the row's charges in e — m for this
+// walk plus every earlier scoped walk's of e — stay below n, leaving
+// the walk to the scalar kernel. The walk that brings them to n fills
+// and publishes the row through row(i) instead: renting costs under n
+// scalar evaluations per epoch before the n-entry fill that buying
+// would have paid up front. Charges of an earlier epoch count as zero.
+func (f *DenseField) rent(i, m int, e uint32) []float64 {
+	if r := f.rows[i].Load(); r != nil {
+		return *r
+	}
+	for {
+		c := f.charge[i].Load()
+		spent := uint64(m)
+		if uint32(c>>32) == e {
+			spent += c & 0xffffffff
+		}
+		if spent >= uint64(f.n) {
+			return f.row(i)
+		}
+		if f.charge[i].CompareAndSwap(c, uint64(e)<<32|spent) {
+			return nil
+		}
+	}
+}
+
 // rebind implements the incremental-update hook used by
 // Problem.Rebind: the moved links' kernel inputs are refreshed, their
-// rows are dropped (the next reader refills them against the new
-// geometry), and their columns are patched in the rows that stay
-// resident — O(|moved|·resident) instead of a rebuild that would drop
-// every filled row. All links keep their identities (count, rates,
-// powers); only positions may differ.
+// rows are dropped and their charges zeroed (the next reader refills
+// them against the new geometry), and their columns are patched in the
+// rows that stay resident — O(|moved|·resident) instead of a rebuild
+// that would drop every filled row. All links keep their identities
+// (count, rates, powers); only positions may differ.
 //
 // The column patch runs the scalar Factor on the same squared-distance
 // expression FactorRow uses, so the kernel consistency contract makes
@@ -165,6 +216,7 @@ func (f *DenseField) rebind(ls *network.LinkSet, moved []int) {
 	for _, i := range moved {
 		f.power[i] = f.params.EffectivePower(ls.Power(i))
 		f.bindGeometry(ls, i)
+		f.charge[i].Store(0)
 		if f.rows[i].Swap(nil) != nil {
 			f.resident.Add(-1)
 		}

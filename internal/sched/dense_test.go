@@ -2,11 +2,13 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -124,9 +126,14 @@ func TestDenseDemandFillMatchesResident(t *testing.T) {
 // TestDenseDemandFillConcurrentSolves is the batch fan-out shape under
 // -race: every algorithm solving at once, several times over, on one
 // freshly built Prepared (and on a Derive'd ε sharing its field), so
-// first reads of the same rows race to fill and publish them. Every
-// solve must equal its serial counterpart on a separate field, and the
-// shared field must end bit-identical to a fresh build.
+// first reads of the same rows race to fill and publish them, and the
+// scoped walks of a 4-tile greedy-sharded and of restricted selections
+// race to charge the rows they rent. Every solve must equal its serial
+// counterpart on a separate field, the shared field must hold the same
+// rows (a row fills once its charges total n, whatever their order:
+// the test's few dozen scoped solves stay inside the first epoch of
+// n = 300),
+// and it must end bit-identical to a fresh build.
 func TestDenseDemandFillConcurrentSolves(t *testing.T) {
 	ls := genLinkSet(t, 300, 17, 500)
 	p := radio.DefaultParams()
@@ -139,6 +146,9 @@ func TestDenseDemandFillConcurrentSolves(t *testing.T) {
 			algos = append(algos, a)
 		}
 	}
+	// Scoped walks race too: tiles and restricted selections charge the
+	// rows they rent, and charges reaching n fill them.
+	algos = append(algos, Sharded{Shards: 4}, listedGreedy{ls.Len(), 3}, listedGreedy{ls.Len(), 5})
 	serial, err := Prepare(ls, p)
 	if err != nil {
 		t.Fatal(err)
@@ -159,14 +169,19 @@ func TestDenseDemandFillConcurrentSolves(t *testing.T) {
 		}
 		handles[q.Eps] = [2]*Prepared{s, c}
 	}
+	// The serial side repeats every solve as often as the concurrent
+	// one, so both charge the rows they rent alike.
+	const repeats = 3
 	want := map[float64][]Schedule{}
 	for eps, h := range handles {
 		for _, a := range algos {
 			want[eps] = append(want[eps], h[0].Schedule(a))
+			for r := 1; r < repeats; r++ {
+				h[0].Schedule(a)
+			}
 		}
 	}
 
-	const repeats = 3
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for eps, h := range handles {
@@ -255,19 +270,85 @@ func TestDenseRebindPartlyResident(t *testing.T) {
 }
 
 // TestDenseBytesTracksResidentRows pins Bytes: O(n) right after the
-// build, growing by 8n per filled row.
+// build — seven per-link inputs, the row pointers and the fill charges,
+// 72n bytes — growing by 8n per filled row. A scoped walk's charge
+// below n fills nothing, a later epoch's starts again from zero, and
+// the one that brings an epoch's charges to n fills the row.
 func TestDenseBytesTracksResidentRows(t *testing.T) {
 	pr := MustNewProblem(genLinkSet(t, 100, 3, 300), radio.DefaultParams())
 	d := pr.field.(*DenseField)
 	n := int64(d.N())
 	base := d.Bytes()
-	if base != 64*n {
-		t.Fatalf("fresh field reports %d bytes, want %d", base, 64*n)
+	if base != 72*n {
+		t.Fatalf("fresh field reports %d bytes, want %d", base, 72*n)
 	}
 	d.row(5)
 	d.row(5)
 	d.row(9)
 	if got := d.Bytes(); got != base+2*8*n {
 		t.Fatalf("two resident rows: %d bytes, want %d", got, base+2*8*n)
+	}
+	if r := d.rent(7, d.N()/2, 0); r != nil || d.Bytes() != base+2*8*n {
+		t.Fatalf("a half-row charge filled row 7 (%d bytes)", d.Bytes())
+	}
+	if r := d.rent(7, d.N()/2, 1); r != nil || d.Bytes() != base+2*8*n {
+		t.Fatalf("an expired charge counted: row 7 filled (%d bytes)", d.Bytes())
+	}
+	if r := d.rent(7, d.N()/2, 1); r == nil || d.Bytes() != base+3*8*n {
+		t.Fatalf("charges reaching n in one epoch left row 7 unfilled (%d bytes)", d.Bytes())
+	}
+}
+
+// listedGreedy is a selection-restricted greedy over a subset: every
+// k-th link, weighted by a fixed pattern with ties (every other link
+// weighs 0 and is left out), run through Greedy.scheduleRestricted
+// exactly as a traffic slot's solve.
+type listedGreedy struct{ n, k int }
+
+func (g listedGreedy) Name() string { return "greedy" }
+
+func (g listedGreedy) Schedule(pr *Problem) Schedule { return schedule(g, pr) }
+
+func (g listedGreedy) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
+	weights := make([]float64, g.n)
+	for i := 0; i < g.n; i += g.k {
+		weights[i] = float64(1 + i*7919%5)
+	}
+	sel := Selection{Weights: weights}
+	if err := sel.validate(pr.N()); err != nil {
+		return Schedule{}, err
+	}
+	return Greedy{}.scheduleRestricted(pr, scr, sel, obs.SpanFrom(ctx), dst), nil
+}
+
+// TestDenseScopedWalksMatchResident: the scoped walks that rent rows —
+// greedy-sharded's tile pass at shards 2, 4 and 9, and restricted
+// selections — give the same schedule on a freshly built dense field
+// as on a fully resident one, and a restricted selection leaves rows
+// unfilled that a plain greedy would fill.
+func TestDenseScopedWalksMatchResident(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		ls := genLinkSet(t, 1200, seed, 1000)
+		p := radio.DefaultParams()
+		resident, err := Prepare(ls, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillAllRows(resident.Problem())
+		algos := []Algorithm{Sharded{Shards: 2}, Sharded{Shards: 4}, Sharded{Shards: 9}, listedGreedy{ls.Len(), 2}, listedGreedy{ls.Len(), 7}}
+		for _, a := range algos {
+			fresh, err := Prepare(ls, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := fresh.Schedule(a), resident.Schedule(a)
+			label := fmt.Sprintf("seed %d %T%+v", seed, a, a)
+			assertSameAnswer(t, label, fresh.Problem(), got, resident.Problem(), want)
+			if lg, ok := a.(listedGreedy); ok {
+				if rows := fresh.Problem().Field().(*DenseField).ResidentRows(); rows != 0 {
+					t.Errorf("%s: one restricted solve over n/%d links filled %d rows", label, lg.k, rows)
+				}
+			}
+		}
 	}
 }

@@ -75,9 +75,11 @@ func (sel Selection) admits(i int) bool {
 //
 // Greedy reads only candidates' loads (each one's own budget and the
 // active receivers'), so when the list is a strict subset the
-// accumulator updates just the listed receivers: a slot of a light
-// traffic run costs an O(n) selection scan plus sort and accumulation
-// over its m candidates.
+// accumulator is scoped to it (restrict): only the listed receivers'
+// loads are initialized and updated, and a dense walk rents the rows
+// it reads. A slot of a light traffic run therefore costs one O(n)
+// selection scan plus sort, insertion checks and accumulation over its
+// m candidates.
 func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp obs.Span, dst []int) Schedule {
 	ph := sp.Child("sort")
 	order := greedyOrder(pr, scr, sel)
@@ -87,9 +89,11 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp 
 	// (zero in the paper's model) plus interference from the current
 	// set. Greedy needs no headroom slack — it checks the exact budget.
 	ph = sp.Child("insert")
-	acc := scr.noiseAccum(pr)
+	var acc *Accum
 	if len(order) < pr.N() {
-		acc.only = order
+		acc = scr.scopedAccum(pr, order)
+	} else {
+		acc = scr.noiseAccum(pr)
 	}
 	active, rejected := greedyInsert(pr, scr, acc, order)
 	ph.Add(obs.KeyAdmitted, int64(len(active)))
@@ -112,9 +116,26 @@ func greedyOrder(pr *Problem, scr *Scratch, sel Selection) []int {
 	n := pr.N()
 	ps := &scr.sorter
 	order := intsIn(&ps.order, n)[:0]
-	for i := 0; i < n; i++ {
-		if sel.admits(i) {
-			order = append(order, i)
+	// A traffic slot's selection is weights or a mask alone; their
+	// scans skip admits' per-link nil and bounds checks.
+	switch {
+	case sel.Mask == nil && sel.Weights != nil:
+		for i, w := range sel.Weights {
+			if !(w <= 0) {
+				order = append(order, i)
+			}
+		}
+	case sel.Weights == nil && sel.Mask != nil:
+		for i, ok := range sel.Mask {
+			if ok {
+				order = append(order, i)
+			}
+		}
+	default:
+		for i := 0; i < n; i++ {
+			if sel.admits(i) {
+				order = append(order, i)
+			}
 		}
 	}
 	ps.order = order

@@ -55,13 +55,15 @@ func tailBoundedFields(t testing.TB) []tailBoundedField {
 	// relies on, but spreads [tmin, tmax] so far apart that the band
 	// between its safe-accept and safe-reject tests is wide and the
 	// exact scan decides often. (The field stops being conservative,
-	// which the equivalence does not need.)
+	// which the equivalence does not need.) The field's cached tail
+	// extremes follow the edit, as accumulators read them in place.
 	spread := MustNewProblem(gen(network.PaperConfig(600), 9), radio.DefaultParams(),
 		WithSparseField(SparseOptions{Cutoff: radio.DefaultParams().GammaEps() / 100}))
-	tails := spread.field.(*SparseField).tailCap
-	for j := 1; j < len(tails); j += 2 {
-		tails[j] /= 2
+	sf := spread.field.(*SparseField)
+	for j := 1; j < len(sf.tailCap); j += 2 {
+		sf.tailCap[j] /= 2
 	}
+	sf.tailMin, sf.tailMax = slices.Min(sf.tailCap), slices.Max(sf.tailCap)
 	out = append(out, tailBoundedField{"spread-tails-600", spread})
 
 	noisy := radio.DefaultParams()

@@ -162,6 +162,16 @@ func (s *Scratch) noiseAccum(pr *Problem) *Accum {
 	return a
 }
 
+// scopedAccum is noiseAccum scoped to members (Accum.restrict): only
+// their loads are initialized, in O(len(members)) instead of O(n).
+func (s *Scratch) scopedAccum(pr *Problem, members []int) *Accum {
+	a := &s.acc
+	a.bind(pr.field)
+	a.gammaEps = pr.GammaEps()
+	a.restrict(members)
+	return a
+}
+
 // detAccumFor returns the scratch deterministic-gain accumulator reset
 // for pr (the ApproxDiversity elimination model).
 func (s *Scratch) detAccumFor(pr *Problem) *detAccum {

@@ -237,7 +237,12 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 		}
 	}
 	sb.cand = cand
-	active, repairs := greedyInsert(pr, scr, scr.noiseAccum(pr), cand)
+	// The merge reads only the winners' loads, so its accumulator is
+	// scoped to them, like a restricted selection's: its dense walks rent
+	// rows too, and a cold field gets no row filled by one sharded
+	// solve — renting in the tiles and buying in a serial merge cost
+	// more than filling in the parallel tile pass did.
+	active, repairs := greedyInsert(pr, scr, scr.scopedAccum(pr, cand), cand)
 	ph.SetInt("candidates", int64(len(cand)))
 	ph.Add(obs.KeyBoundaryRepairs, int64(repairs))
 	ph.Add(obs.KeyAdmitted, int64(len(active)))

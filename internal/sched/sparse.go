@@ -63,8 +63,10 @@ type SparseField struct {
 	power  []float64
 	noise  []float64
 	// tailCap[j] = FarFieldCap(P_j, d_jj, R_j): the per-unit-power
-	// bound on any truncated sender's factor on receiver j.
-	tailCap []float64
+	// bound on any truncated sender's factor on receiver j; tailMin and
+	// tailMax are its extremes, which accumulators read in place.
+	tailCap          []float64
+	tailMin, tailMax float64
 	// Receiver rank permutation: receivers are stored in grid order
 	// (cells a-major, descending truncation radius within a cell).
 	// ids maps rank → link id, rankOf maps link id → rank.
@@ -136,10 +138,12 @@ func newSparseField(ctx context.Context, ls *network.LinkSet, p radio.Params, o 
 	radius := make([]float64, n)
 	rad2 := make([]float64, n)
 	var maxRad float64
+	f.tailMin, f.tailMax = math.Inf(1), math.Inf(-1)
 	for j := 0; j < n; j++ {
 		f.noise[j] = p.NoiseFactorP(f.power[j], ls.Length(j))
 		radius[j] = p.TruncationRadius(f.power[j], ls.Length(j), pmax, cutoff)
 		f.tailCap[j] = p.FarFieldCap(f.power[j], ls.Length(j), radius[j])
+		f.tailMin, f.tailMax = min(f.tailMin, f.tailCap[j]), max(f.tailMax, f.tailCap[j])
 		r2 := math.Min(radius[j]*radius[j], diag2)
 		rad2[j] = r2
 		radius[j] = math.Sqrt(r2)

@@ -140,6 +140,56 @@ func TestDebugRequestsListsSolveTrace(t *testing.T) {
 	}
 }
 
+// TestDebugRequestsListsTrafficTrace: a traced /v1/traffic run records
+// the field's resident rows on the request span (dense_rows) and its
+// row and fallback counts on the traffic_run span.
+func TestDebugRequestsListsTrafficTrace(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	resp := postTraffic(t, ts, TrafficRequest{Links: paperLinks(t, 200, 7), Slots: 40,
+		Policy: "maxqueue", Rate: 0.3, Seed: 5})
+	body := readAll(t, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traffic: status %d: %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	resp, err := ts.Client().Get(ts.URL + "/debug/requests?n=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out debugRequestsResponse
+	if err := json.Unmarshal(readAll(t, resp.Body), &out); err != nil {
+		t.Fatal(err)
+	}
+	attrs := map[string]map[string]any{}
+	for _, snap := range out.Recent {
+		if snap.TraceID == id {
+			for _, sp := range snap.Spans {
+				attrs[sp.Name] = sp.Attrs
+			}
+		}
+	}
+	root, run := attrs["POST /v1/traffic"], attrs["traffic_run"]
+	if root == nil || run == nil {
+		t.Fatalf("trace %s lacks the request or traffic_run span (have %v)", id, attrs)
+	}
+	rows, ok := root["dense_rows"].(float64)
+	if !ok || rows < 1 || rows > 200 {
+		t.Fatalf("request span dense_rows = %v, want in [1, 200]", root["dense_rows"])
+	}
+	// The run started on a fresh field, so every resident row is one it
+	// filled.
+	if got := run["rows_filled"]; got != rows {
+		t.Fatalf("traffic_run rows_filled = %v, want dense_rows %v", got, rows)
+	}
+	if misses, ok := run["bracket_misses"].(float64); !ok || misses < 0 {
+		t.Fatalf("traffic_run bracket_misses = %v, want a count", run["bracket_misses"])
+	}
+}
+
 func TestDebugRequestTraceEventExport(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
@@ -234,9 +284,9 @@ func TestDebugStateReportsSessionsAndCaches(t *testing.T) {
 		if e.Building {
 			t.Fatalf("entry %+v still building after responses returned", e)
 		}
-		// A dense field holds 64 bytes of inputs per link plus 8n per
-		// sender row its greedy solve filled.
-		if lo, hi := int64(64*e.N), int64(8*e.N*(e.N+8)); e.Bytes <= lo || e.Bytes > hi {
+		// A dense field holds 72 bytes of inputs and fill charge per
+		// link plus 8n per sender row its greedy solve filled.
+		if lo, hi := int64(72*e.N), int64(8*e.N*(e.N+9)); e.Bytes <= lo || e.Bytes > hi {
 			t.Fatalf("entry %+v: bytes outside (%d, %d]", e, lo, hi)
 		}
 		if e.Pins > 0 {

@@ -446,8 +446,8 @@ func (s *Server) prepared(ctx context.Context, q *SolveRequest, builds *atomic.I
 }
 
 // setDenseRows records on sp how many sender rows pr's dense field
-// holds resident after a solve: the part of the n×n matrix the solves
-// on it have read so far.
+// holds resident after a solve or a traffic run: the part of the n×n
+// matrix the work on it has filled so far.
 func setDenseRows(sp obs.Span, pr *sched.Problem) {
 	if d, ok := pr.Field().(*sched.DenseField); ok && sp.Enabled() {
 		sp.SetInt("dense_rows", int64(d.ResidentRows()))

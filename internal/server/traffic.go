@@ -298,6 +298,7 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res := eng.Run(ctx)
 	elapsed := time.Since(start)
+	setDenseRows(root, prep.Problem())
 	if res.Truncated {
 		// A deadline-cut run is exactly the kind of request an operator
 		// wants retained regardless of sampling.

@@ -24,18 +24,29 @@ import (
 // the Result. The Prepared handle it solves through may be shared
 // freely — solves check private scratch out of its pool.
 type Engine struct {
-	prep *sched.Prepared
-	pr   *sched.Problem
-	cfg  Config
-	n    int
+	prep   *sched.Prepared
+	pr     *sched.Problem
+	cfg    Config
+	policy Policy // cfg.policy(), resolved once
+	n      int
 
-	queues  []fifo
-	counts  []int
-	mask    []bool
-	weights []float64
-	active  []int // recycled schedule buffer (dst of ScheduleInto)
-	means   []float64
-	success []bool
+	queues []fifo
+	counts []int
+	// mask (backlog policy) or weights (the others) hold each link's
+	// current selection entry, and backlogged counts the links holding
+	// packets; all three change only where a queue does, at an arrival
+	// or a delivery.
+	mask       []bool
+	weights    []float64
+	backlogged int64
+	active     []int // recycled schedule buffer (dst of ScheduleInto)
+	success    []bool
+
+	// The fading draw's per-receiver rows: mean gains bracketed from
+	// the senders' and receivers' positions through bracket (nil when
+	// α is outside its range), and the exact means a row falls back to.
+	bracket       *radio.MeanBracket
+	lo, hi, means []float64
 
 	arrSrc  rng.Source // arrivals stream, consumed across the run
 	chSrc   rng.Source // fading stream, reseeded per slot
@@ -62,9 +73,13 @@ type Engine struct {
 	// fade is the per-slot fading draw, transmit; the differential
 	// tests swap in a reference implementation.
 	fade func(slot int)
-	// exactRows counts the receivers whose fading outcome
-	// radio.RowOutcome left undecided and replayed exactly.
-	exactRows int64
+	// bracketMisses counts the receivers whose outcome the bracketed
+	// means left undecided (or could not bracket) and that fell back to
+	// their exact means; exactRows counts those of them RowOutcome left
+	// undecided even then, which replayed exactly.
+	bracketMisses, exactRows int64
+	// rows0 is the dense field's resident rows when Run began.
+	rows0 int
 
 	// runSpan is the trace span covering the whole run; Step hangs one
 	// bounded per-slot child off it (the trace arena caps how many
@@ -97,14 +112,18 @@ func New(prep *sched.Prepared, cfg Config) (*Engine, error) {
 		prep:     prep,
 		pr:       pr,
 		cfg:      cfg,
+		policy:   cfg.policy(),
 		n:        n,
 		queues:   make([]fifo, n),
 		counts:   make([]int, n),
 		mask:     make([]bool, n),
 		weights:  make([]float64, n),
 		active:   make([]int, 0, n),
-		means:    make([]float64, n),
 		success:  make([]bool, n),
+		bracket:  pr.Params.MeanBracket(),
+		lo:       make([]float64, n),
+		hi:       make([]float64, n),
+		means:    make([]float64, n),
 		resv:     newReservoir(cfg.reservoirSize(), cfg.Seed),
 		driftBuf: make([]int64, cfg.driftWindow()+1),
 		traj:     make([]TrajectoryPoint, 0, cfg.trajectoryPoints()),
@@ -120,6 +139,10 @@ func New(prep *sched.Prepared, cfg Config) (*Engine, error) {
 			e.queues[i].push(0)
 			e.res.Arrived++
 			e.backlog++
+		}
+		if cfg.InitialBacklog > 0 {
+			e.backlogged++
+			e.weigh(i)
 		}
 	}
 	if cfg.Metrics != nil {
@@ -137,8 +160,9 @@ func (e *Engine) Slot() int { return e.slot }
 // serving layer turns a request deadline into a bounded simulation.
 func (e *Engine) Run(ctx context.Context) Result {
 	e.runSpan = obs.SpanFrom(ctx).Child("traffic_run")
+	e.rows0 = residentRows(e.pr)
 	e.runSpan.SetInt("slots", int64(e.cfg.Slots))
-	e.runSpan.SetStr("policy", string(e.cfg.policy()))
+	e.runSpan.SetStr("policy", string(e.policy))
 	for e.slot < e.cfg.Slots {
 		if err := e.Step(ctx); err != nil {
 			return e.finish(true)
@@ -160,10 +184,16 @@ func (e *Engine) Step(ctx context.Context) error {
 	ssp := e.runSpan.Child("slot")
 
 	// 1. Arrivals. Dropped packets still count as arrived, as in
-	// legacy simnet.
+	// legacy simnet. A queue that receives packets holds one after.
 	e.cfg.Arrivals.draw(&e.arrSrc, slot, e.counts)
 	var arrived, dropped int64
 	for i, c := range e.counts {
+		if c == 0 {
+			continue
+		}
+		if e.queues[i].len() == 0 {
+			e.backlogged++
+		}
 		for k := 0; k < c; k++ {
 			arrived++
 			if e.cfg.QueueCap > 0 && e.queues[i].len() >= e.cfg.QueueCap {
@@ -173,6 +203,7 @@ func (e *Engine) Step(ctx context.Context) error {
 			e.queues[i].push(slot)
 			e.backlog++
 		}
+		e.weigh(i)
 	}
 	e.res.Arrived += arrived
 	e.res.Dropped += dropped
@@ -205,6 +236,10 @@ func (e *Engine) Step(ctx context.Context) error {
 					d := float64(slot - arrivedAt + 1)
 					e.res.Delay.Add(d)
 					e.resv.add(d)
+					e.weigh(i)
+					if e.queues[i].len() == 0 {
+						e.backlogged--
+					}
 				} else {
 					e.res.FailedTx++
 				}
@@ -235,27 +270,28 @@ func (e *Engine) Step(ctx context.Context) error {
 	return nil
 }
 
-// selection fills the engine's mask/weight buffers for the configured
-// policy and adds the links it selects — the backlogged ones, since
-// link rates are positive — to e.candidates. Weights of 0 exclude idle
-// links, so every policy is backlog-restricted.
-func (e *Engine) selection() sched.Selection {
-	pol := e.cfg.policy()
-	for i := range e.queues {
-		q := e.queues[i].len()
-		if q > 0 {
-			e.candidates++
-		}
-		switch pol {
-		case PolicyMaxQueue:
-			e.weights[i] = float64(q)
-		case PolicyMaxWeight:
-			e.weights[i] = float64(q) * e.pr.Links.Rate(i)
-		default: // PolicyBacklog
-			e.mask[i] = q > 0
-		}
+// weigh refreshes link i's selection entry from its queue length:
+// the queue length (max-queue), queue × rate (max-weight), or whether
+// it holds packets (backlog). Weights of 0 exclude idle links, so every
+// policy is backlog-restricted.
+func (e *Engine) weigh(i int) {
+	q := e.queues[i].len()
+	switch e.policy {
+	case PolicyMaxQueue:
+		e.weights[i] = float64(q)
+	case PolicyMaxWeight:
+		e.weights[i] = float64(q) * e.pr.Links.Rate(i)
+	default: // PolicyBacklog
+		e.mask[i] = q > 0
 	}
-	if pol == PolicyBacklog {
+}
+
+// selection returns the slot's selection over the engine's mask or
+// weights and adds the links it admits — the backlogged ones, since
+// link rates are positive — to e.candidates.
+func (e *Engine) selection() sched.Selection {
+	e.candidates += e.backlogged
+	if e.policy == PolicyBacklog {
 		return sched.Selection{Mask: e.mask}
 	}
 	return sched.Selection{Weights: e.weights}
@@ -264,8 +300,11 @@ func (e *Engine) selection() sched.Selection {
 // transmit draws one fading realization shared by the slot and fills
 // e.success, indexed like e.active. The draw order (receivers outer,
 // senders inner) matches legacy simnet exactly, keeping old seeds
-// reproducible; radio.RowOutcome decides each receiver from those
-// draws, replaying only the rows it cannot certify.
+// reproducible. radio.RowOutcomeBounds first decides each receiver from
+// those draws and the interferers' bracketed mean gains (no math.Pow);
+// a row they leave undecided, or with a pair that cannot be bracketed,
+// falls back to radio.RowOutcome over the exact means, which replays
+// exactly the rows even those cannot certify.
 func (e *Engine) transmit(slot int) {
 	m := len(e.active)
 	e.success = e.success[:m]
@@ -278,8 +317,15 @@ func (e *Engine) transmit(slot int) {
 	rng.StreamInto(&e.chSrc, e.cfg.Seed, "simnet-channel", uint64(slot))
 	pr := e.pr
 	n0, gammaTh := pr.Params.N0, pr.Params.GammaTh
-	means := e.means[:m]
+	lo, hi, means := e.lo[:m], e.hi[:m], e.means[:m]
 	for j, rj := range e.active {
+		if e.bracketRow(j, lo, hi) {
+			if v := radio.RowOutcomeBounds(&e.chSrc, lo, hi, j, n0, gammaTh); v != radio.RowUndecided {
+				e.success[j] = v == radio.RowSuccess
+				continue
+			}
+		}
+		e.bracketMisses++
 		for i, si := range e.active {
 			means[i] = pr.Params.MeanGainP(pr.PowerOf(si), pr.Links.Dist(si, rj))
 		}
@@ -291,6 +337,42 @@ func (e *Engine) transmit(slot int) {
 			e.success[j] = v == radio.RowSuccess
 		}
 	}
+}
+
+// bracketRow fills lo/hi with the mean gains of every active sender at
+// the j-th active receiver: the signal's exact mean as both bounds, the
+// interferers' bracketed. It reports false when α has no bracket tables
+// or some pair cannot be bracketed.
+func (e *Engine) bracketRow(j int, lo, hi []float64) bool {
+	if e.bracket == nil {
+		return false
+	}
+	pr, rj := e.pr, e.active[j]
+	r := pr.Links.Link(rj).Receiver
+	for i, si := range e.active {
+		if i == j {
+			sig := pr.Params.MeanGainP(pr.PowerOf(rj), pr.Links.Dist(rj, rj))
+			lo[i], hi[i] = sig, sig
+			continue
+		}
+		s := pr.Links.Link(si).Sender
+		dx, dy := r.X-s.X, r.Y-s.Y
+		l, h, ok := e.bracket.Bounds(pr.PowerOf(si), dx*dx+dy*dy)
+		if !ok {
+			return false
+		}
+		lo[i], hi[i] = l, h
+	}
+	return true
+}
+
+// residentRows reports the resident rows of pr's field when it is
+// dense, 0 otherwise.
+func residentRows(pr *sched.Problem) int {
+	if d, ok := pr.Field().(*sched.DenseField); ok {
+		return d.ResidentRows()
+	}
+	return 0
 }
 
 // recordTrajectory appends the end-of-slot backlog at the current
@@ -334,10 +416,15 @@ func (e *Engine) finish(truncated bool) Result {
 		e.runSpan.SetInt("delivered", e.res.Delivered)
 		e.runSpan.SetInt("candidates", e.candidates)
 		e.runSpan.SetInt("exact_rows", e.exactRows)
+		// Rows the field gained during the run (solves sharing the
+		// field concurrently count too), and rows whose bracketed
+		// means fell back to exact ones.
+		e.runSpan.Add("rows_filled", int64(residentRows(e.pr)-e.rows0))
+		e.runSpan.Add("bracket_misses", e.bracketMisses)
 		e.runSpan.End()
 	}
 	res := e.res
-	res.Policy = string(e.cfg.policy())
+	res.Policy = string(e.policy)
 	res.ArrivalProcess = e.cfg.Arrivals.Name()
 	res.Slots = e.slot
 	res.Truncated = truncated

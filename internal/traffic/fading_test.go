@@ -58,7 +58,9 @@ func TestTransmitMatchesExactLoop(t *testing.T) {
 }
 
 // TestTrafficRunSpanCountsExactRows: the traffic_run span records the
-// engine's exact-replay count next to candidates.
+// engine's exact-replay count next to candidates, its bracket_misses
+// (rows whose bracketed means fell back to exact ones, a superset of
+// the replays), and rows_filled, the rows the fresh field gained.
 func TestTrafficRunSpanCountsExactRows(t *testing.T) {
 	pp := quadrantPrepared(t, 600, 2)
 	tr := obs.NewTraceCap("0123456789abcdef", "POST /v1/traffic", 64)
@@ -72,10 +74,19 @@ func TestTrafficRunSpanCountsExactRows(t *testing.T) {
 	if eng.exactRows == 0 {
 		t.Fatal("no row replayed exactly: the span check is vacuous")
 	}
+	if eng.bracketMisses < eng.exactRows {
+		t.Fatalf("%d bracket misses, fewer than the %d exact replays they include", eng.bracketMisses, eng.exactRows)
+	}
+	rows := int64(pp.Problem().Field().(*sched.DenseField).ResidentRows())
+	if rows == 0 {
+		t.Fatal("a saturated run on a fresh field filled no rows")
+	}
 	for _, sp := range tr.Snapshot().Spans {
 		if sp.Name == "traffic_run" {
-			if got := sp.Attrs["exact_rows"]; got != eng.exactRows {
-				t.Fatalf("traffic_run exact_rows = %v, want %d", got, eng.exactRows)
+			for key, want := range map[string]int64{"exact_rows": eng.exactRows, "bracket_misses": eng.bracketMisses, "rows_filled": rows} {
+				if got := sp.Attrs[key]; got != want {
+					t.Fatalf("traffic_run %s = %v, want %d", key, got, want)
+				}
 			}
 			return
 		}

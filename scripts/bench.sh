@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench.sh — run the repository performance suite and emit a
-# machine-readable record (BENCH_PR17.json by default): ns/op, B/op,
+# machine-readable record (BENCH_PR19.json by default): ns/op, B/op,
 # and allocs/op for the figure-regeneration bench (Fig 5a), the
 # Monte-Carlo solve_mc shape (BenchmarkSimulateWarm, with its active
 # links and exact-replay rows per op),
@@ -11,13 +11,14 @@
 # prepared-field / response-cache-warm / batch), the traffic engine
 # (per-slot cost, the ≥1M-packet n=5000 throughput run with its
 # packets/sec metric, the light n=2000 max-weight run the load
-# benchmark's traffic has, and the same traffic on the sparse n=2500
-# solve-scale shape), the DLS solve on a quadrant-listed n=2000
-# set, the streaming-session event loop at n=2000, and
+# benchmark's traffic has with the rows it leaves resident, the same
+# field at Bernoulli 0.03 where rented rows fill, and the light traffic
+# on the sparse n=2500 solve-scale shape), the DLS solve on a quadrant-listed
+# n=2000 set, the streaming-session event loop at n=2000, and
 # the tile-sharded scale records: sharded-vs-unsharded greedy at
 # n=5000/20000 plus the n=100000 sparse build + sharded solve.
 #
-#   scripts/bench.sh              full run, writes BENCH_PR17.json
+#   scripts/bench.sh              full run, writes BENCH_PR19.json
 #   scripts/bench.sh -quick       1-iteration smoke (check.sh uses this)
 #   scripts/bench.sh -gate        converged fast subset (benchcmp gate)
 #   scripts/bench.sh -o out.json  choose the output path
@@ -37,7 +38,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out=BENCH_PR17.json
+out=BENCH_PR19.json
 benchtime=${BENCHTIME:-1s}
 buildbenchtime=3s
 mode=full
@@ -114,7 +115,7 @@ gate)
     # low_iter flag keeps benchcmp advisory on it.
     run . 'BenchmarkSharded100k$' 1x
     run ./internal/server/ 'BenchmarkSolveColdVsWarm$|BenchmarkSolveBatch$|BenchmarkSessionEvents$'
-    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$|BenchmarkEngineLightSparse$'
+    run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$|BenchmarkEngineMid$|BenchmarkEngineLightSparse$'
     run ./internal/sched/ 'BenchmarkDLS$'
     run ./internal/mc/ 'BenchmarkSimulateWarm$'
     # The span-tracing overhead record: the warm span lifecycle must

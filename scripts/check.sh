@@ -82,25 +82,32 @@ echo "== backlog-sized slot and ranked election differential gate"
 # Under -race, uncached: traffic runs whose per-slot greedy lists only
 # the selected links against a copy of the full-scan loop (every
 # policy, Bernoulli 0.01/0.05/1, three seeds, a dense quadrant-listed
-# and a sparse scale-class set; Results deeply equal), and DLS's
-# rank-ordered leader election against a copy of the all-pairs one
-# (quadrant-listed and uniform n=2000 sets, four ε, three seeds, plus
-# a 0.5-length link that forces priority ties; schedules and round
-# counters equal).
-go test -race -run 'TestWeightedSelectionMatchesFullScan|TestTrafficRunSpanCountsCandidates' -count=1 ./internal/traffic/
+# and a sparse scale-class set; Results deeply equal), 40 runs of the
+# light load-benchmark shape on one fresh dense field (charges expire,
+# no row filled) and a run at Bernoulli 0.03 (rented rows fill) against
+# a fully resident field (Results deeply equal), and DLS's rank-ordered
+# leader election against a copy of the all-pairs one (quadrant-listed
+# and uniform n=2000 sets, four ε, three seeds, plus a 0.5-length link
+# that forces priority ties; schedules and round counters equal).
+go test -race -run 'TestWeightedSelectionMatchesFullScan|TestTrafficRunSpanCountsCandidates|TestLightTrafficFillsNoRows|TestMidTrafficMatchesResidentField' -count=1 ./internal/traffic/
 go test -race -run 'TestDLSElectionMatchesAllPairs' -count=1 ./internal/sched/
 
 echo "== fading kernel differential gate"
 # Under -race, uncached: radio.RowOutcome's bit-length bounds bracket
-# −math.Log for every class (and the 2⁻⁴⁰ margin is needed), random and
-# fuzz-corpus rows give both callers' verdicts equal to the exact loop,
-# Monte-Carlo Results deeply equal a copy of the former gains-table
-# loop (paper-density n = 100/600/2000, five schedules, four ε, noise,
-# per-link power, coherence, 1/2/4 workers, block offsets), and traffic
-# Results deeply equal runs through the former exact draw. The fuzz
-# pass then walks random rows for a few seconds; the traffic zero-alloc
-# gate above covers the kernel in the slot loop.
-go test -race -run 'TestExpBounds|TestRowOutcome|FuzzRowOutcome' -count=1 ./internal/radio/
+# −math.Log for every class (and the 2⁻⁴⁰ margin is needed), the
+# MeanBracket tables bracket the exact mean gain (10⁷ random pairs and
+# every exponent and bucket edge, six α; degenerate and out-of-range
+# pairs refused), random and fuzz-corpus rows — with exact and with
+# bracketed means — give both callers' verdicts equal to the exact
+# loop, Monte-Carlo Results deeply equal a copy of the former
+# gains-table loop (paper-density n = 100/600/2000, five schedules,
+# four ε, noise, per-link power, coherence, 1/2/4 workers, block
+# offsets), and traffic Results deeply equal runs through the former
+# exact draw, with the traffic_run span counting exact replays,
+# bracket misses and filled rows. The fuzz pass then walks random rows
+# for a few seconds; the traffic zero-alloc gate above covers the
+# kernel in the slot loop.
+go test -race -run 'TestExpBounds|TestRowOutcome|TestMeanBracket|FuzzRowOutcome' -count=1 ./internal/radio/
 go test -race -run 'TestSimulateMatchesExactLoop|TestAdaptive' -count=1 ./internal/mc/
 go test -race -run 'TestTransmitMatchesExactLoop|TestTrafficRunSpanCountsExactRows' -count=1 ./internal/traffic/
 go test -fuzz FuzzRowOutcome -fuzztime 5s -run '^$' ./internal/radio/
@@ -121,13 +128,17 @@ echo "== sparse construction gate"
 go test -run 'TestSparseStoredFactorsExact|TestSparseNeverOverAdmits|TestSparseWorkerCountBitIdentical|TestSparseBuildBeatsDenseAtScale' -count=1 ./internal/sched/
 
 echo "== demand-fill gate"
-# The dense field fills a sender's factor row on first use. Under
-# -race, uncached: every registered algorithm on a fresh field against
-# a fully resident one (several seeds and a Derive'd ε; schedules and
-# Assess bit-identical), concurrent solves of every algorithm racing
-# to fill rows of one fresh Prepared (matching serial solves), and a
+# The dense field fills a sender's factor row on first use, and scoped
+# walks rent rows until one epoch's charges reach n. Under -race,
+# uncached: every registered algorithm on a fresh field against a fully
+# resident one (several seeds and a Derive'd ε; schedules and Assess
+# bit-identical), greedy-sharded at 2, 4 and 9 tiles and restricted
+# selections likewise, concurrent solves of every algorithm plus tiles
+# and restricted selections racing to fill rows and to charge them on
+# one fresh Prepared (matching serial solves, same rows resident), a
 # rebind of a partly resident field (every Factor equal to a fresh
-# build's).
+# build's), and Bytes over the charge array, expired charges and
+# filled rows.
 go test -race -run 'TestDense' -count=1 ./internal/sched/
 
 echo "== verify-once differential gate"
@@ -152,9 +163,10 @@ go test -race -run 'TestGreedyInsertMatchesPlainLoop|TestShardedTilePassMatchesL
 echo "== sharded solver gate"
 # The tile-sharded solver under -race: the tile-worker concurrency
 # test, the tile pass against its former loop, the shards=1 ≡ greedy
-# bit-identity and Monte-Carlo feasibility oracles, and the
-# clustered-layout fuzz seeds (`make test-shard`).
-go test -race -run 'TestSharded|TestGreedyInsertMatchesPlainLoop|FuzzShardedFeasible' -count=1 ./internal/sched/
+# bit-identity and Monte-Carlo feasibility oracles, tile passes
+# renting rows of a fresh dense field against a fully resident one,
+# and the clustered-layout fuzz seeds (`make test-shard`).
+go test -race -run 'TestSharded|TestGreedyInsertMatchesPlainLoop|TestDenseScopedWalksMatchResident|FuzzShardedFeasible' -count=1 ./internal/sched/
 
 echo "== experiment determinism gate"
 # Every table folds its (x, instance) results in index order, so its
