@@ -16,9 +16,10 @@ import (
 const DefaultMaxSpans = 256
 
 // maxSpanAttrs is the inline attribute capacity per span. Setters past
-// the cap are dropped silently; seven covers every call site in the
-// repo (a schedd solve span carries six attributes, a traffic run
-// seven) and keeps the record fixed-size (no per-attr allocation).
+// the cap are dropped and counted on the trace (DroppedAttrs); seven
+// covers every call site in the repo (a schedd solve span carries six
+// attributes, a traffic run seven) and keeps the record fixed-size (no
+// per-attr allocation).
 const maxSpanAttrs = 7
 
 // AttrKind discriminates the typed attribute slots.
@@ -88,6 +89,9 @@ type Trace struct {
 	// arena is exhausted; dropped counts the spans lost that way.
 	full    atomic.Bool
 	dropped atomic.Int64
+	// droppedAttrs counts attributes lost to a full span record
+	// (maxSpanAttrs); every write happens under mu.
+	droppedAttrs int64
 
 	// Set by Finish / MarkOutlier.
 	done    bool
@@ -146,6 +150,7 @@ func (t *Trace) release() {
 	t.spans = t.spans[:0]
 	t.full.Store(false)
 	t.dropped.Store(0)
+	t.droppedAttrs = 0
 	t.done, t.status, t.dur, t.outlier = false, 0, 0, ""
 	tracePool.Put(t)
 }
@@ -174,6 +179,17 @@ func (t *Trace) Dropped() int64 {
 		return 0
 	}
 	return t.dropped.Load()
+}
+
+// DroppedAttrs reports how many attributes were discarded because their
+// span already held maxSpanAttrs.
+func (t *Trace) DroppedAttrs() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.droppedAttrs
 }
 
 // MarkOutlier flags the trace for unconditional retention by the
@@ -296,6 +312,8 @@ func (s Span) setAttr(a attr) {
 	if int(rec.nattrs) < maxSpanAttrs {
 		rec.attrs[rec.nattrs] = a
 		rec.nattrs++
+	} else {
+		t.droppedAttrs++
 	}
 	t.mu.Unlock()
 }
@@ -332,6 +350,8 @@ func (s Span) Add(key string, n int64) {
 	if int(rec.nattrs) < maxSpanAttrs {
 		rec.attrs[rec.nattrs] = attr{key: key, kind: attrCount, n: n}
 		rec.nattrs++
+	} else {
+		t.droppedAttrs++
 	}
 	t.mu.Unlock()
 }
@@ -339,9 +359,11 @@ func (s Span) Add(key string, n int64) {
 // graft copies src's spans under s: src's root attributes onto s
 // itself, every other span as a descendant of s with its start moved
 // onto s's trace clock. Spans past the destination arena's capacity
-// are dropped and counted, as Child drops them. Parents precede
-// children in an arena and a full arena stays full, so every copied
-// span's parent was copied too and ids shift by one constant.
+// are dropped and counted, as Child drops them, and so are root
+// attributes past s's capacity and src's own dropped attributes.
+// Parents precede children in an arena and a full arena stays full, so
+// every copied span's parent was copied too and ids shift by one
+// constant.
 func (s Span) graft(src *Trace) {
 	if s.tr == nil {
 		return
@@ -353,10 +375,13 @@ func (s Span) graft(src *Trace) {
 	defer dst.mu.Unlock()
 	rec := &dst.spans[s.id-1]
 	root := &src.spans[0]
+	dst.droppedAttrs += src.droppedAttrs
 	for _, a := range root.attrs[:root.nattrs] {
 		if int(rec.nattrs) < maxSpanAttrs {
 			rec.attrs[rec.nattrs] = a
 			rec.nattrs++
+		} else {
+			dst.droppedAttrs++
 		}
 	}
 	shift := src.begun.Sub(dst.begun)
@@ -421,6 +446,7 @@ type TraceSnapshot struct {
 	Status       int            `json:"status,omitempty"`
 	Outlier      string         `json:"outlier,omitempty"`
 	DroppedSpans int64          `json:"dropped_spans,omitempty"`
+	DroppedAttrs int64          `json:"dropped_attrs,omitempty"`
 	Spans        []SpanSnapshot `json:"spans"`
 }
 
@@ -438,6 +464,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		Status:       t.status,
 		Outlier:      t.outlier,
 		DroppedSpans: t.dropped.Load(),
+		DroppedAttrs: t.droppedAttrs,
 		Spans:        make([]SpanSnapshot, len(t.spans)),
 	}
 	for i := range t.spans {

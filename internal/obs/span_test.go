@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -108,6 +110,48 @@ func TestSpanArenaOverflow(t *testing.T) {
 	// Spans started after Finish are inert and counted as dropped.
 	if sp := root.Child("late"); sp.Enabled() {
 		t.Fatal("span after Finish should be inert")
+	}
+}
+
+// TestSpanAttrOverflowCounted: attributes past a span's inline capacity
+// are dropped and counted on the trace — through the typed setters, a
+// new counter key, and a graft whose root attributes overflow the
+// destination span — and the count reaches the snapshot and the
+// trace_event export.
+func TestSpanAttrOverflowCounted(t *testing.T) {
+	tr := NewTraceCap("feedfeedfeedfeed", "attrs", 8)
+	sp := tr.Root().Child("full")
+	for i := 0; i < maxSpanAttrs; i++ {
+		sp.SetInt(fmt.Sprintf("k%d", i), int64(i))
+	}
+	sp.SetStr("over", "x")
+	sp.SetFloat("over", 1)
+	sp.Add("counter", 1)
+	if got := tr.DroppedAttrs(); got != 3 {
+		t.Fatalf("dropped attrs = %d, want 3", got)
+	}
+	src := NewTraceCap("", "solve", 4)
+	for i := 0; i < maxSpanAttrs; i++ {
+		src.Root().Add(fmt.Sprintf("c%d", i), 1)
+	}
+	src.Root().Add("c-over", 1) // dropped in src, carried over by graft
+	dst := tr.Root().Child("solve")
+	dst.SetInt("dense_rows", 1)
+	dst.graft(src)
+	if got := tr.DroppedAttrs(); got != 3+1+1 {
+		t.Fatalf("dropped attrs after graft = %d, want 5", got)
+	}
+	tr.Finish(200)
+	snap := tr.Snapshot()
+	if snap.DroppedAttrs != 5 || snap.DroppedSpans != 0 {
+		t.Fatalf("snapshot dropped attrs/spans = %d/%d, want 5/0", snap.DroppedAttrs, snap.DroppedSpans)
+	}
+	var buf strings.Builder
+	if err := snap.WriteTraceEvent(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"dropped_attrs":5`) {
+		t.Fatalf("trace_event export lacks dropped_attrs: %s", buf.String())
 	}
 }
 

@@ -154,6 +154,9 @@ func (s *TraceSnapshot) WriteTraceEvent(w io.Writer) error {
 				if s.DroppedSpans > 0 {
 					args["dropped_spans"] = s.DroppedSpans
 				}
+				if s.DroppedAttrs > 0 {
+					args["dropped_attrs"] = s.DroppedAttrs
+				}
 			}
 			ev.Args = args
 		}

@@ -49,7 +49,11 @@ type BatchRequest struct {
 	// TimeoutMS bounds the whole batch, not each solve.
 	TimeoutMS int64         `json:"timeout_ms,omitempty"`
 	Configs   []BatchConfig `json:"configs"`
+
+	wire wireLinks
 }
+
+func (q *BatchRequest) linkState() (*[]network.Link, *wireLinks) { return &q.Links, &q.wire }
 
 // BatchResponse is the wire form of a batch reply. Results is indexed
 // like the request's configs; a failed config carries an error
@@ -66,8 +70,10 @@ type BatchResponse struct {
 // solveRequest projects config c over the batch's shared instance,
 // yielding the equivalent single-solve request (same validation, same
 // cache key space — batch results and single-solve results are
-// interchangeable cache entries).
+// interchangeable cache entries). Every config shares the batch's one
+// links digest.
 func (q *BatchRequest) solveRequest(c BatchConfig) SolveRequest {
+	q.wire.digest(q.Links)
 	r := SolveRequest{
 		Algorithm: c.Algorithm,
 		Links:     q.Links,
@@ -81,6 +87,7 @@ func (q *BatchRequest) solveRequest(c BatchConfig) SolveRequest {
 		MCSlots:   c.MCSlots,
 		MCSeed:    c.MCSeed,
 		Shards:    c.Shards,
+		wire:      q.wire,
 	}
 	if c.Eps != 0 {
 		r.Eps = c.Eps
@@ -97,6 +104,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	defer req.wire.release()
 	if len(req.Configs) == 0 {
 		writeError(w, http.StatusBadRequest, "batch needs at least one config")
 		return

@@ -109,3 +109,53 @@ func BenchmarkSolveBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeRequest measures decodeRequest on the load benchmark's
+// n=2000 dense solve body (paper density, α = 3): "fresh" is a
+// topology the link memo does not hold, so encoding/json decodes the
+// whole body; "repeat" is one it holds, so the structural scan, one
+// SHA-256 of the links array and a decode of the remainder run instead.
+//
+//	go test -run '^$' -bench BenchmarkDecodeRequest ./internal/server/
+func BenchmarkDecodeRequest(b *testing.B) {
+	ls, err := network.Generate(network.PaperConfig(2000), 42, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(SolveRequest{Algorithm: "rle", Links: ls.Links(),
+		Alpha: 3, GammaTh: 1, Eps: 0.02, Power: 1, Field: "dense"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, srv *Server, want string) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var q SolveRequest
+			rec := httptest.NewRecorder()
+			if !srv.decodeRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)), &q) {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+			if got := q.wire.cand == nil; got != (want == "memo") {
+				b.Fatalf("decode served by the memo = %v, want %s", got, want)
+			}
+			q.wire.release() // as the handler does when the request ends
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		srv := New(Config{})
+		defer srv.Close()
+		run(b, srv, "decoded")
+	})
+	b.Run("repeat", func(b *testing.B) {
+		srv := New(Config{})
+		defer srv.Close()
+		var q SolveRequest
+		if !srv.decodeRequest(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)), &q) {
+			b.Fatal("priming body rejected")
+		}
+		srv.memo.remember(q.wire.cand, q.Links, q.wire.digest(q.Links))
+		b.ResetTimer()
+		run(b, srv, "memo")
+	})
+}

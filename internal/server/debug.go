@@ -21,7 +21,8 @@ import (
 //	                               (load in chrome://tracing or Perfetto)
 //	GET /debug/state               session table, live sharded-solve
 //	                               fan-out, prepared-cache residency
-//	                               with pin counts, pool occupancy,
+//	                               with pin counts, link-memo entries
+//	                               and bytes, pool occupancy,
 //	                               result-cache bytes against budget
 //
 // They are routed on the public mux (they are cheap, bounded reads;
@@ -117,6 +118,7 @@ type debugStateResponse struct {
 	MaxSessions      int                   `json:"max_sessions"`
 	ShardSolves      []debugShardSolveInfo `json:"sharded_solves,omitempty"`
 	Prepared         []prepEntryInfo       `json:"prepared_cache"`
+	LinksMemo        debugLinksMemoInfo    `json:"links_memo"`
 	ResultCache      debugResultCacheInfo  `json:"result_cache"`
 	Pool             debugPoolInfo         `json:"pool"`
 	Recorder         obs.RecorderStats     `json:"recorder"`
@@ -128,6 +130,14 @@ type debugResultCacheInfo struct {
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	Budget  int64 `json:"budget"`
+}
+
+// debugLinksMemoInfo is the link memo's residency against its entry
+// bound (capacity ≤ 0: memo off).
+type debugLinksMemoInfo struct {
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	Capacity int   `json:"capacity"`
 }
 
 type debugPoolInfo struct {
@@ -185,12 +195,14 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 	})
 
 	entries, bytes := s.cache.residency()
+	memoEntries, memoBytes := s.memo.residency()
 	writeJSON(w, http.StatusOK, debugStateResponse{
 		Sessions:         sessions,
 		SessionsReserved: reserved,
 		MaxSessions:      s.cfg.MaxSessions,
 		ShardSolves:      shardSolves,
 		Prepared:         s.preps.snapshot(),
+		LinksMemo:        debugLinksMemoInfo{Entries: memoEntries, Bytes: memoBytes, Capacity: s.memo.cap},
 		ResultCache:      debugResultCacheInfo{Entries: entries, Bytes: bytes, Budget: s.cfg.CacheBytes},
 		Pool: debugPoolInfo{
 			Capacity: s.pool.capacity(),

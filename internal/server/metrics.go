@@ -25,6 +25,9 @@ import (
 //	schedd_cache_misses_total         counter
 //	schedd_cache_evictions_total      counter
 //	schedd_cache_bytes/entries        gauges (registered by Server)
+//	schedd_links_memo_hits_total      counter
+//	schedd_links_memo_misses_total    counter
+//	schedd_links_memo_entries/bytes   gauges (registered by Server)
 //	schedd_request_duration_seconds   histogram (obs.DefBuckets)
 //	schedd_pool_capacity/in_use/queued gauges (registered by Server)
 //	schedd_goroutines                 gauge
@@ -40,6 +43,8 @@ type Metrics struct {
 	cacheMiss  *obs.Counter
 	cacheEvict *obs.Counter
 	latency    *obs.Histogram
+	memoHits   *obs.Counter
+	memoMiss   *obs.Counter
 
 	prepHits   *obs.Counter
 	prepMiss   *obs.Counter
@@ -77,7 +82,10 @@ func NewMetrics() *Metrics {
 		cacheMiss: reg.Counter("schedd_cache_misses_total", "Solve requests that missed the result cache."),
 		cacheEvict: reg.Counter("schedd_cache_evictions_total",
 			"Responses evicted from the result cache by its byte budget."),
-		latency:  reg.Histogram("schedd_request_duration_seconds", "End-to-end HTTP request latency in seconds.", nil),
+		latency: reg.Histogram("schedd_request_duration_seconds", "End-to-end HTTP request latency in seconds.", nil),
+		memoHits: reg.Counter("schedd_links_memo_hits_total",
+			"JSON requests whose links array the link memo held: only the rest of the body was decoded."),
+		memoMiss: reg.Counter("schedd_links_memo_misses_total", "JSON requests whose whole body was decoded."),
 		prepHits: reg.Counter("schedd_prepared_cache_hits_total", "Solves that reused a cached prepared interference field."),
 		prepMiss: reg.Counter("schedd_prepared_cache_misses_total", "Solves that found no prepared field for their link set."),
 		prepBuilds: reg.Counter("schedd_prepared_builds_total",
@@ -163,6 +171,11 @@ func (m *Metrics) TrafficDone(policy string, truncated bool) {
 func (m *Metrics) CacheHit()      { m.cacheHits.Inc() }
 func (m *Metrics) CacheMiss()     { m.cacheMiss.Inc() }
 func (m *Metrics) CacheEviction() { m.cacheEvict.Inc() }
+
+// LinksMemoHit / LinksMemoMiss count JSON-route decodes by whether the
+// link memo supplied the links (see linkMemo).
+func (m *Metrics) LinksMemoHit()  { m.memoHits.Inc() }
+func (m *Metrics) LinksMemoMiss() { m.memoMiss.Inc() }
 
 // Prepared-field cache accounting (see prepCache).
 func (m *Metrics) PreparedHit()       { m.prepHits.Inc() }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 
 	"repro/internal/network"
@@ -53,7 +54,11 @@ type SolveRequest struct {
 	// solve path is a 400 — silently ignoring a performance knob would
 	// make two differently-shaped requests cache-collide.
 	Shards int `json:"shards,omitempty"`
+
+	wire wireLinks
 }
+
+func (q *SolveRequest) linkState() (*[]network.Link, *wireLinks) { return &q.Links, &q.wire }
 
 // maxMCSlots caps per-request simulation effort: one request must not
 // buy unbounded CPU.
@@ -135,11 +140,7 @@ func (q *SolveRequest) algorithm() (sched.Algorithm, error) {
 
 // fieldOption resolves the backend selector.
 func (q *SolveRequest) fieldOption() (sched.Option, error) {
-	name := q.Field
-	if name == "" {
-		name = "dense"
-	}
-	return sched.FieldOption(name, q.Cutoff)
+	return sched.FieldOption(q.fieldName(), q.Cutoff)
 }
 
 // problem validates the links and builds the scheduling instance.
@@ -157,50 +158,18 @@ func (q *SolveRequest) problem() (*sched.Problem, error) {
 
 // hash is the canonical problem key: a SHA-256 over every input that
 // determines the response body — algorithm, resolved radio parameters,
-// field backend config, Monte-Carlo ask, and the exact link geometry
-// as IEEE-754 bit patterns. TimeoutMS is deliberately excluded: the
-// deadline changes whether an answer arrives, never which answer.
+// field backend config, Monte-Carlo ask, and the link geometry's
+// canonical digest. TimeoutMS is deliberately excluded: the deadline
+// changes whether an answer arrives, never which answer.
 func (q *SolveRequest) hash() cacheKey {
-	h := sha256.New()
-	var scratch [8]byte
-	writeF := func(v float64) {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		h.Write(scratch[:])
-	}
-	writeS := func(s string) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(len(s)))
-		h.Write(scratch[:])
-		h.Write([]byte(s))
-	}
-	writeS("schedd/v1")
-	writeS(q.Algorithm)
+	h := newKeyHash("schedd/v1")
+	h.str(q.Algorithm)
 	p := q.params()
-	for _, v := range []float64{p.Alpha, p.GammaTh, p.Eps, p.Power, p.N0} {
-		writeF(v)
-	}
-	field := q.Field
-	if field == "" {
-		field = "dense"
-	}
-	writeS(field)
-	writeF(q.Cutoff)
-	binary.LittleEndian.PutUint64(scratch[:], uint64(q.MCSlots))
-	h.Write(scratch[:])
-	binary.LittleEndian.PutUint64(scratch[:], q.MCSeed)
-	h.Write(scratch[:])
-	binary.LittleEndian.PutUint64(scratch[:], uint64(q.Shards))
-	h.Write(scratch[:])
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(q.Links)))
-	h.Write(scratch[:])
-	for _, l := range q.Links {
-		writeF(l.Sender.X)
-		writeF(l.Sender.Y)
-		writeF(l.Receiver.X)
-		writeF(l.Receiver.Y)
-		writeF(l.Rate)
-		writeF(l.Power)
-	}
-	return cacheKey(h.Sum(nil))
+	h.floats(p.Alpha, p.GammaTh, p.Eps, p.Power, p.N0)
+	h.str(q.fieldName())
+	h.floats(q.Cutoff)
+	h.uints(uint64(q.MCSlots), q.MCSeed, uint64(q.Shards))
+	return h.sum(q.wire.digest(q.Links))
 }
 
 // fieldKey is the canonical interference-field hash: a SHA-256 over
@@ -212,42 +181,121 @@ func (q *SolveRequest) hash() cacheKey {
 // what lets a response-cache miss on (linkset, algorithm, params)
 // still reuse the field built for any prior solve on the same links.
 func (q *SolveRequest) fieldKey() cacheKey {
-	h := sha256.New()
-	var scratch [8]byte
-	writeF := func(v float64) {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		h.Write(scratch[:])
-	}
-	writeS := func(s string) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(len(s)))
-		h.Write(scratch[:])
-		h.Write([]byte(s))
-	}
-	writeS("schedd/field/v1")
+	h := newKeyHash("schedd/field/v1")
 	p := q.params()
-	for _, v := range []float64{p.Alpha, p.GammaTh, p.Power, p.N0} {
-		writeF(v)
-	}
-	field := q.Field
-	if field == "" {
-		field = "dense"
-	}
-	writeS(field)
-	writeF(q.Cutoff)
+	h.floats(p.Alpha, p.GammaTh, p.Power, p.N0)
+	field := q.fieldName()
+	h.str(field)
+	h.floats(q.Cutoff)
 	if field != "dense" {
-		writeF(p.Eps)
+		h.floats(p.Eps)
 	}
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(q.Links)))
-	h.Write(scratch[:])
-	for _, l := range q.Links {
-		writeF(l.Sender.X)
-		writeF(l.Sender.Y)
-		writeF(l.Receiver.X)
-		writeF(l.Receiver.Y)
-		writeF(l.Rate)
-		writeF(l.Power)
+	return h.sum(q.wire.digest(q.Links))
+}
+
+// fieldName is the backend selector with its default resolved.
+func (q *SolveRequest) fieldName() string {
+	if q.Field == "" {
+		return "dense"
 	}
-	return cacheKey(h.Sum(nil))
+	return q.Field
+}
+
+// linksKey is the canonical digest of a link list: a SHA-256 over its
+// length and every link's six floats as IEEE-754 bit patterns. Every
+// cache key a request derives (response, field, traffic) folds in this
+// one digest, so a request computes it at most once however many keys
+// and batch configs it has, and a link-memo hit carries it.
+type linksKey [sha256.Size]byte
+
+func digestLinks(links []network.Link) linksKey {
+	h := sha256.New()
+	var buf [48 * 64]byte // 64 links per Write
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(links)))
+	h.Write(buf[:8])
+	n := 0
+	for _, l := range links {
+		for _, v := range [6]float64{l.Sender.X, l.Sender.Y, l.Receiver.X, l.Receiver.Y, l.Rate, l.Power} {
+			binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
+			n += 8
+		}
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+	}
+	h.Write(buf[:n])
+	var k linksKey
+	h.Sum(k[:0])
+	return k
+}
+
+// wireLinks is what a request keeps of its link list besides the
+// decoded value: the canonical digest, once computed or carried by a
+// link-memo hit, and the decoded body, which the request offers to the
+// link memo on its first prepared-cache hit. Batch configs and solve
+// views copy it, so they share the digest and the one offer.
+type wireLinks struct {
+	key   linksKey
+	keyed bool
+	cand  *memoCandidate // nil after a memo hit, or with the memo off
+}
+
+// release returns the request's body buffer to the pool. The handler
+// that decoded the request calls it when the request is done, after
+// every batch config and view sharing the candidate has finished.
+func (w *wireLinks) release() {
+	if c := w.cand; c != nil && c.buf != nil {
+		putBody(c.buf)
+		c.buf = nil
+	}
+}
+
+// digest returns the canonical digest of links, computing it on first
+// use; links must be the list the request decoded.
+func (w *wireLinks) digest(links []network.Link) linksKey {
+	if !w.keyed {
+		w.key, w.keyed = digestLinks(links), true
+	}
+	return w.key
+}
+
+// keyHash builds a cache key: a version prefix, then length-prefixed
+// strings and fixed-width numbers, then the links digest.
+type keyHash struct {
+	h       hash.Hash
+	scratch [8]byte
+}
+
+func newKeyHash(version string) *keyHash {
+	k := &keyHash{h: sha256.New()}
+	k.str(version)
+	return k
+}
+
+func (k *keyHash) uints(vs ...uint64) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(k.scratch[:], v)
+		k.h.Write(k.scratch[:])
+	}
+}
+
+func (k *keyHash) floats(vs ...float64) {
+	for _, v := range vs {
+		k.uints(math.Float64bits(v))
+	}
+}
+
+func (k *keyHash) str(s string) {
+	k.uints(uint64(len(s)))
+	k.h.Write([]byte(s))
+}
+
+func (k *keyHash) sum(links linksKey) cacheKey {
+	k.h.Write(links[:])
+	var c cacheKey
+	k.h.Sum(c[:0])
+	return c
 }
 
 // SolveResponse is the wire form of a successful solve.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -119,6 +121,7 @@ type Server struct {
 	pool     *pool
 	cache    *resultCache
 	preps    *prepCache
+	memo     *linkMemo
 	metrics  *Metrics
 	log      *slog.Logger
 	mux      *http.ServeMux
@@ -155,6 +158,7 @@ func New(cfg Config) *Server {
 	}
 	s.cache = newResultCache(cfg.CacheBytes, s.metrics)
 	s.preps = newPrepCache(cfg.PreparedCacheSize, s.metrics)
+	s.memo = newLinkMemo(cfg.PreparedCacheSize)
 	if cfg.TraceRing >= 0 {
 		s.recorder = obs.NewRecorder(obs.RecorderConfig{
 			Capacity:    cfg.TraceRing,
@@ -180,6 +184,10 @@ func New(cfg Config) *Server {
 		func() float64 { _, b := s.cache.residency(); return float64(b) })
 	reg.GaugeFunc("schedd_cache_entries", "Responses resident in the result cache.",
 		func() float64 { n, _ := s.cache.residency(); return float64(n) })
+	reg.GaugeFunc("schedd_links_memo_entries", "Decoded link lists resident in the link memo.",
+		func() float64 { n, _ := s.memo.residency(); return float64(n) })
+	reg.GaugeFunc("schedd_links_memo_bytes", "Bytes of decoded link lists resident in the link memo.",
+		func() float64 { _, b := s.memo.residency(); return float64(b) })
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/solve/batch", s.handleSolveBatch)
@@ -341,6 +349,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	defer req.wire.release()
 	if err := req.validate(s.cfg.MaxLinks); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -437,6 +446,9 @@ func (s *Server) prepared(ctx context.Context, q *SolveRequest, builds *atomic.I
 	}
 	if err != nil {
 		return nil, err
+	}
+	if hit {
+		s.memo.remember(q.wire.cand, q.Links, q.wire.digest(q.Links))
 	}
 	dp, err := prep.Derive(q.params())
 	if err != nil {
@@ -565,24 +577,125 @@ func (s *Server) solveToBody(ctx context.Context, q *SolveRequest, builds *atomi
 // MaxBodyBytes (413 naming the limit), no unknown fields, no trailing
 // data (400). On failure it has written the error response and
 // returns false. Every JSON-body route decodes through it.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+//
+// A body whose top-level links array the link memo holds hands
+// encoding/json only the remainder and takes the memo's decoded links
+// and digest; any remainder error re-decodes the whole body, so the
+// memo never changes a status, a message or a decoded value.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v linkRequest) bool {
+	sp := obs.SpanFrom(r.Context()).Child("decode")
+	defer sp.End()
+	buf, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	body := buf.Bytes()
+	if sp.Enabled() {
+		sp.SetInt("bytes", int64(len(body)))
+	}
+	if err != nil {
+		// Decode what arrived as it streamed, so the status and message
+		// depend on where the read failed exactly as they did before the
+		// body was buffered.
+		defer putBody(buf)
+		s.metrics.LinksMemoMiss()
+		return decodeOK(w, decodeStrict(io.MultiReader(bytes.NewReader(body), errReader{err}), v))
+	}
+	links, wire := v.linkState()
+	if rem, e := s.memo.lookup(body); e != nil {
+		if decodeStrict(bytes.NewReader(rem), v) == nil {
+			putBody(buf)
+			*links = e.links
+			wire.key, wire.keyed = e.key, true
+			s.metrics.LinksMemoHit()
+			if sp.Enabled() {
+				sp.SetStr("links", "memo")
+				sp.SetInt("json_bytes", int64(len(rem)))
+			}
+			return true
+		}
+		reflect.ValueOf(v).Elem().SetZero()
+	}
+	s.metrics.LinksMemoMiss()
+	if sp.Enabled() {
+		sp.SetStr("links", "decoded")
+		sp.SetInt("json_bytes", int64(len(body)))
+	}
+	ok := decodeOK(w, decodeStrict(bytes.NewReader(body), v))
+	if !ok || s.memo.cap <= 0 {
+		putBody(buf)
+		return ok
+	}
+	wire.cand = &memoCandidate{buf: buf}
+	return true
+}
+
+// bodyBufs recycles request-body buffers of up to maxPooledBody bytes.
+// A body is read whole before it is decoded; returning its buffer once
+// the request is done with it spares the collector a body-sized
+// allocation per request.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps both a buffer bodyBufs keeps and what a declared
+// Content-Length reserves up front: a client that declares a larger
+// body pays for every byte past it as the bytes arrive.
+const maxPooledBody = 1 << 20
+
+// readBody reads rd to its end into a pooled buffer sized from the
+// declared length. On a read error the buffer holds what arrived
+// before it.
+func readBody(rd io.Reader, declared int64) (*bytes.Buffer, error) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if declared > 0 {
+		buf.Grow(int(min(declared, maxPooledBody)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(rd)
+	return buf, err
+}
+
+// putBody returns buf to bodyBufs; nothing may read its bytes after.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// errTrailingData marks a body with bytes after its one JSON value.
+var errTrailingData = errors.New("trailing data after request")
+
+// decodeStrict decodes rd as one JSON value into v: no unknown fields,
+// no trailing data.
+func decodeStrict(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return false
+		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "trailing data after request")
-		return false
+		return errTrailingData
 	}
-	return true
+	return nil
+}
+
+// decodeOK writes the error response for a decodeStrict error and
+// reports whether there was none.
+func decodeOK(w http.ResponseWriter, err error) bool {
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, errTrailingData):
+		writeError(w, http.StatusBadRequest, err.Error())
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
+	}
+	return false
 }
 
 // solverRefusedError marks a solver panic on otherwise-valid input —

@@ -58,7 +58,11 @@ type SessionRequest struct {
 	N0      float64 `json:"n0,omitempty"`
 	Field   string  `json:"field,omitempty"`
 	Cutoff  float64 `json:"cutoff,omitempty"`
+
+	wire wireLinks
 }
+
+func (q *SessionRequest) linkState() (*[]network.Link, *wireLinks) { return &q.Links, &q.wire }
 
 // solveView adapts the request to the SolveRequest validation and
 // field-key methods (the same adapter TrafficRequest uses).
@@ -69,6 +73,7 @@ func (q *SessionRequest) solveView() *SolveRequest {
 		Alpha:     q.Alpha, GammaTh: q.GammaTh, Eps: q.Eps,
 		Power: q.Power, N0: q.N0,
 		Field: q.Field, Cutoff: q.Cutoff,
+		wire: q.wire,
 	}
 }
 
@@ -355,6 +360,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	defer req.wire.release()
 	sv := req.solveView()
 	if err := sv.validate(s.cfg.MaxLinks); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,7 +57,11 @@ type TrafficRequest struct {
 	// with truncated=true rather than a 504 — the slots it finished are
 	// still an answer.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+
+	wire wireLinks
 }
+
+func (q *TrafficRequest) linkState() (*[]network.Link, *wireLinks) { return &q.Links, &q.wire }
 
 // maxTrafficSlots caps per-request simulation effort, mirroring
 // maxMCSlots: one request must not buy unbounded CPU.
@@ -126,13 +128,15 @@ func (q *TrafficRequest) trafficConfig() traffic.Config {
 
 // solveView adapts the request to the SolveRequest field-cache methods:
 // fieldKey and params depend only on the fields copied here, so a
-// traffic run shares prepared interference fields with /v1/solve.
+// traffic run shares prepared interference fields with /v1/solve. The
+// view shares the request's links digest once hash has computed it.
 func (q *TrafficRequest) solveView() *SolveRequest {
 	return &SolveRequest{
 		Links: q.Links,
 		Alpha: q.Alpha, GammaTh: q.GammaTh, Eps: q.Eps,
 		Power: q.Power, N0: q.N0,
 		Field: q.Field, Cutoff: q.Cutoff,
+		wire: q.wire,
 	}
 }
 
@@ -141,54 +145,23 @@ func (q *TrafficRequest) solveView() *SolveRequest {
 // deliberately excluded — but truncated responses are never cached, so
 // the deadline still never changes a cached answer.
 func (q *TrafficRequest) hash() cacheKey {
-	h := sha256.New()
-	var scratch [8]byte
-	writeF := func(v float64) {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		h.Write(scratch[:])
-	}
-	writeS := func(s string) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(len(s)))
-		h.Write(scratch[:])
-		h.Write([]byte(s))
-	}
-	writeU := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
-	writeS("schedd/traffic/v1")
+	h := newKeyHash("schedd/traffic/v1")
 	sr := q.solveView()
 	p := sr.params()
-	for _, v := range []float64{p.Alpha, p.GammaTh, p.Eps, p.Power, p.N0} {
-		writeF(v)
-	}
-	field := q.Field
-	if field == "" {
-		field = "dense"
-	}
-	writeS(field)
-	writeF(q.Cutoff)
-	writeU(uint64(q.Slots))
-	writeS(q.Policy)
-	writeS(q.Arrivals)
-	writeF(q.Rate)
-	writeU(uint64(q.QueueCap))
-	writeU(q.Seed)
+	h.floats(p.Alpha, p.GammaTh, p.Eps, p.Power, p.N0)
+	h.str(sr.fieldName())
+	h.floats(q.Cutoff)
+	h.uints(uint64(q.Slots))
+	h.str(q.Policy)
+	h.str(q.Arrivals)
+	h.floats(q.Rate)
+	h.uints(uint64(q.QueueCap), q.Seed)
 	if q.NoFading {
-		writeU(1)
+		h.uints(1)
 	} else {
-		writeU(0)
+		h.uints(0)
 	}
-	writeU(uint64(len(q.Links)))
-	for _, l := range q.Links {
-		writeF(l.Sender.X)
-		writeF(l.Sender.Y)
-		writeF(l.Receiver.X)
-		writeF(l.Receiver.Y)
-		writeF(l.Rate)
-		writeF(l.Power)
-	}
-	return cacheKey(h.Sum(nil))
+	return h.sum(q.wire.digest(q.Links))
 }
 
 // TrafficTrajectoryPoint is one backlog-trajectory sample on the wire.
@@ -240,6 +213,7 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
+	defer req.wire.release()
 	if err := req.validate(s.cfg.MaxLinks); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

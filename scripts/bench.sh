@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench.sh — run the repository performance suite and emit a
-# machine-readable record (BENCH_PR19.json by default): ns/op, B/op,
+# machine-readable record (BENCH_PR21.json by default): ns/op, B/op,
 # and allocs/op for the figure-regeneration bench (Fig 5a), the
 # Monte-Carlo solve_mc shape (BenchmarkSimulateWarm, with its active
 # links and exact-replay rows per op),
@@ -8,7 +8,8 @@
 # (traced and untraced — the traced/untraced delta is the ≤5%
 # span-overhead gate, and BenchmarkSpanLifecycle documents the
 # 0 allocs/op warm span path), the schedd end-to-end paths (cold /
-# prepared-field / response-cache-warm / batch), the traffic engine
+# prepared-field / response-cache-warm / batch), the request decode of
+# an n=2000 body fresh and through the link memo, the traffic engine
 # (per-slot cost, the ≥1M-packet n=5000 throughput run with its
 # packets/sec metric, the light n=2000 max-weight run the load
 # benchmark's traffic has with the rows it leaves resident, the same
@@ -18,7 +19,7 @@
 # the tile-sharded scale records: sharded-vs-unsharded greedy at
 # n=5000/20000 plus the n=100000 sparse build + sharded solve.
 #
-#   scripts/bench.sh              full run, writes BENCH_PR19.json
+#   scripts/bench.sh              full run, writes BENCH_PR21.json
 #   scripts/bench.sh -quick       1-iteration smoke (check.sh uses this)
 #   scripts/bench.sh -gate        converged fast subset (benchcmp gate)
 #   scripts/bench.sh -o out.json  choose the output path
@@ -38,7 +39,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out=BENCH_PR19.json
+out=BENCH_PR21.json
 benchtime=${BENCHTIME:-1s}
 buildbenchtime=3s
 mode=full
@@ -114,7 +115,7 @@ gate)
     # The n=100000 scale record is single-iteration by design; its
     # low_iter flag keeps benchcmp advisory on it.
     run . 'BenchmarkSharded100k$' 1x
-    run ./internal/server/ 'BenchmarkSolveColdVsWarm$|BenchmarkSolveBatch$|BenchmarkSessionEvents$'
+    run ./internal/server/ 'BenchmarkSolveColdVsWarm$|BenchmarkSolveBatch$|BenchmarkSessionEvents$|BenchmarkDecodeRequest$'
     run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineThroughput$|BenchmarkEngineLight$|BenchmarkEngineMid$|BenchmarkEngineLightSparse$'
     run ./internal/sched/ 'BenchmarkDLS$'
     run ./internal/mc/ 'BenchmarkSimulateWarm$'

@@ -66,6 +66,16 @@ echo "== session stream gate"
 go test -race -run 'TestSession|TestPrepCache' -count=1 ./internal/server/
 go test -fuzz FuzzSessionEvents -fuzztime 5s -run '^$' ./internal/server/
 
+echo "== link memo gate"
+# Under -race, uncached: concurrent hits on one shared memo entry, a
+# topology walked through the memo on every JSON route against a fresh
+# server's answers, and the one-digest cache keys. The fuzz pass then
+# checks the memo path against a plain strict decode (status, message,
+# decoded value) for every request type from the case-folded, escaped,
+# duplicate-key, nested and truncated corpus.
+go test -race -run 'TestLinkMemo|TestCacheKeysShareOneLinksDigest|TestTracedRoutesDropNothing' -count=1 ./internal/server/
+go test -fuzz FuzzDecodeRequest -fuzztime 5s -run '^$' ./internal/server/
+
 echo "== traffic engine race pass"
 # The traffic engine suite uncached under -race: the determinism,
 # differential-vs-legacy, and truncation tests all run here.
