@@ -37,9 +37,10 @@ bench-field:
 	$(GO) test -run '^$$' -bench 'BenchmarkFieldFill' -benchtime 2s -count=1 ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkLog1pPos$$|BenchmarkLog1pStdlib$$|BenchmarkHalfPow' -count=1 ./internal/mathx/
 
-## bench-json: the full performance suite → BENCH_PR21.json
+## bench-json: the full performance suite → BENCH_PR22.json
 ## (Fig 5a, the Monte-Carlo solve_mc shape, field build, cold vs warm-prepared solve traced and
-## untraced, sharded-vs-unsharded greedy plus the n=100k scale record,
+## untraced, warm greedy re-solves over four ε with the admission
+## test's factor reads, sharded-vs-unsharded greedy plus the n=100k scale record,
 ## schedd end-to-end, request decode fresh and memoised, traffic
 ## engine, streaming-session event loop,
 ## span-lifecycle overhead)

@@ -357,6 +357,62 @@ func BenchmarkSolveWarmPrepared(b *testing.B) {
 	b.ReportMetric(float64(links), "links")
 }
 
+// BenchmarkSolveWarmGreedy is the re-solve the paper's setting repeats:
+// one n=2000 topology at paper density with every dense row resident,
+// scheduled by Greedy under each ε of a fixed list through Derive'd
+// handles — one pass over the list per op. It reports the admission
+// test's factor reads per op, a constant of the pass that benchcmp
+// compares exactly, counted in one traced pass before the timer, and
+// the links that pass admits.
+func BenchmarkSolveWarmGreedy(b *testing.B) {
+	b.ReportAllocs()
+	ls := benchLinks(b, 2000)
+	base, err := fadingrls.Prepare(ls, fadingrls.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	field := base.Problem().Field()
+	for i := 0; i < field.N(); i++ {
+		field.ForEachAffected(i, func(int, float64) {}) // fills row i
+	}
+	var preps []*fadingrls.Prepared
+	for _, eps := range []float64{0.005, 0.01, 0.02, 0.05} {
+		p := fadingrls.DefaultParams()
+		p.Eps = eps
+		pp, err := base.Derive(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		preps = append(preps, pp)
+	}
+	ctx := context.Background()
+	var reads, links int64
+	for _, pp := range preps {
+		st, err := obs.TraceSolve(ctx, obs.Span{}, func(ctx context.Context, _ *obs.Trace) error {
+			s, err := pp.ScheduleInto(ctx, fadingrls.Greedy{}, nil)
+			links += int64(s.Len())
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reads += st.Counter(obs.KeyFactorReads)
+	}
+	bufs := make([][]int, len(preps))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, pp := range preps {
+			s, err := pp.ScheduleInto(ctx, fadingrls.Greedy{}, bufs[k])
+			if err != nil {
+				b.Fatal(err)
+			}
+			bufs[k] = s.Active[:0]
+		}
+	}
+	b.ReportMetric(float64(reads), "admission_reads/op")
+	b.ReportMetric(float64(links), "links")
+}
+
 // BenchmarkSolveWarmTraced is BenchmarkSolveWarmPrepared under the full
 // per-request tracing harness schedd runs: every iteration takes a
 // pooled request trace from obs, opens the solve span, solves in the

@@ -161,15 +161,18 @@ func TestTrackerMatchesFreshProblem(t *testing.T) {
 // TestTrackerPreparedMatchesFresh checks a Prepared handle stays
 // coherent across the tracking loop: Rebind bumps the problem
 // generation, so the handle's cached geometry (sender index, median
-// length) refreshes and every post-move solve matches a fresh problem
-// built from the current snapshot. The handle is built once and reused
-// — the cheap path a re-planning loop would use.
+// length, pick orders) refreshes and every post-move solve matches a
+// fresh problem built from the current snapshot. The handle is built
+// once and reused — the cheap path a re-planning loop would use. A
+// trace moves whole links, so a last step stretches the shortest link
+// past every other, moving it from first to last in both the greedy
+// and the elimination pick order (rates are uniform).
 func TestTrackerPreparedMatchesFresh(t *testing.T) {
 	tr, pr := traceFixture(t, 60)
 	prep := sched.NewPrepared(pr)
-	algos := []sched.Algorithm{sched.Greedy{}, sched.RLE{}}
-	for step := 0; step < 4; step++ {
-		snap, _ := advanceRebind(t, tr, pr, 5)
+	algos := []sched.Algorithm{sched.Greedy{}, sched.RLE{}, sched.ApproxDiversity{}}
+	check := func(step int, snap *network.LinkSet) {
+		t.Helper()
 		fresh, err := sched.NewProblem(snap, pr.Params)
 		if err != nil {
 			t.Fatal(err)
@@ -182,6 +185,55 @@ func TestTrackerPreparedMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	var snap *network.LinkSet
+	for step := 0; step < 4; step++ {
+		snap, _ = advanceRebind(t, tr, pr, 5)
+		check(step, snap)
+	}
+	check(4, stretchShortest(t, pr, snap))
+}
+
+// stretchShortest re-binds pr onto snap with its shortest link's
+// receiver pushed out along the link to 1.5× the longest link's
+// length, and returns the new link set. With uniform rates the link
+// goes from first to last in both length-keyed pick orders, which the
+// function checks by rank.
+func stretchShortest(t *testing.T, pr *sched.Problem, snap *network.LinkSet) *network.LinkSet {
+	t.Helper()
+	rank := func(ls *network.LinkSet, k int) int { // position in ascending (length, index) order
+		r := 0
+		for i := 0; i < ls.Len(); i++ {
+			if ls.Length(i) < ls.Length(k) || (ls.Length(i) == ls.Length(k) && i < k) {
+				r++
+			}
+		}
+		return r
+	}
+	k, longest := 0, 0.0
+	for i := 0; i < snap.Len(); i++ {
+		if snap.Length(i) < snap.Length(k) {
+			k = i
+		}
+		longest = max(longest, snap.Length(i))
+		if snap.Rate(i) != snap.Rate(0) {
+			t.Fatal("rates differ: length alone would not order the greedy picks")
+		}
+	}
+	links := snap.Links()
+	l, stretch := links[k], 1.5*longest/snap.Length(k)
+	links[k].Receiver.X = l.Sender.X + (l.Receiver.X-l.Sender.X)*stretch
+	links[k].Receiver.Y = l.Sender.Y + (l.Receiver.Y-l.Sender.Y)*stretch
+	moved, err := network.NewLinkSet(links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if was, now := rank(snap, k), rank(moved, k); was != 0 || now != snap.Len()-1 {
+		t.Fatalf("link %d went from rank %d to %d, want 0 to %d", k, was, now, snap.Len()-1)
+	}
+	if err := pr.Rebind(moved, []int{k}); err != nil {
+		t.Fatal(err)
+	}
+	return moved
 }
 
 // TestTrackerInterleavedRebindSolve alternates trace advances (each a

@@ -43,9 +43,12 @@ const (
 	KeyGridCells  = "grid_cells"
 	KeyCandidates = "candidate_schedules"
 
-	// Greedy insertion.
-	KeyAdmitted = "admitted"
-	KeyRejected = "rejected"
+	// Greedy insertion. KeyFactorReads counts the factors the
+	// Corollary 3.1 admission test read (Accum.fits: the witness check
+	// plus the scan), on the insert, tile_solve and tile_merge phases.
+	KeyAdmitted    = "admitted"
+	KeyRejected    = "rejected"
+	KeyFactorReads = "factor_reads"
 
 	// Tile-sharded solving. KeyTiles is the partition's tile count,
 	// KeyTilesSolved counts tiles completed (workers bump it live, so a

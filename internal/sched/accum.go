@@ -1,6 +1,10 @@
 package sched
 
-import "repro/internal/radio"
+import (
+	"slices"
+
+	"repro/internal/radio"
+)
 
 // Accum is the incremental feasibility accumulator every scheduler
 // maintains its working interference state in. It tracks, per receiver
@@ -32,7 +36,13 @@ type Accum struct {
 	// members' and the sharded merge its winners' (restrict). Such a
 	// scoped walk rents unfilled rows (DenseField.rent) in the epoch
 	// restrict drew. Sparse walks ignore it; reset clears it.
-	only     []int
+	only []int
+	// asc holds the senders admit added, in ascending index order: the
+	// order insert's admission tests scan the active set in. Only
+	// insert fills and reads it, from an accumulator bind or restrict
+	// just emptied, so each scratch's accumulator — and with it each
+	// tile worker — owns its own, and clones do not carry it.
+	asc      []int
 	epoch    uint32
 	gammaEps float64
 	load     []float64
@@ -90,6 +100,7 @@ func (a *Accum) bind(f InterferenceField) {
 	a.field = f
 	a.dense, _ = f.(*DenseField)
 	a.only = nil
+	a.asc = a.asc[:0]
 	a.gammaEps = 0
 	a.load = floatsIn(&a.load, n)
 	a.actPow = 0
@@ -112,7 +123,7 @@ func (a *Accum) bind(f InterferenceField) {
 // each of these solves reads its members' loads and nothing else, so
 // it restricts in O(members) instead of resetting in O(n).
 func (a *Accum) restrict(members []int) {
-	a.only, a.actPow = members, 0
+	a.only, a.asc, a.actPow = members, a.asc[:0], 0
 	if a.dense != nil {
 		a.epoch = a.dense.epoch()
 	}
@@ -213,16 +224,70 @@ func (a *Accum) Headroom(j int) float64 {
 // active receiver's load plus i's contribution within budget (plus the
 // Verify rounding slack). Callers compute budget once per solve — γ_ε,
 // or a tile's reserved share of it.
-func (a *Accum) fits(p radio.Params, i int, active []int, budget float64) bool {
+//
+// The test is a conjunction over active, and one receiver over budget
+// settles it, so fits orders its terms to read as few factors as it
+// can; no order changes the verdict. It checks w first — the receiver
+// that rejected an earlier candidate of the same insert pass, or -1 —
+// then active as given (insert hands it asc, the active set in
+// ascending index order, so a dense row is read front to back). On the
+// dense field a resident row of i is read in place; an unfilled one is
+// read through the scalar kernel, and fits never fills or charges a
+// row. It returns the receiver that rejected i (-1 when none did, or
+// when i's own load did) and the factor reads it made.
+func (a *Accum) fits(p radio.Params, i int, active []int, budget float64, w int) (ok bool, binding, reads int) {
 	if !p.InformedBudget(a.Load(i), budget) {
-		return false
+		return false, -1, 0
 	}
-	for _, j := range active {
+	var row []float64
+	if a.dense != nil {
+		row = a.dense.filledRow(i)
+	}
+	if w >= 0 {
+		if a.firstOver(p, row, i, []int{w}, budget) == 0 {
+			return false, w, 1
+		}
+		reads = 1
+	}
+	if k := a.firstOver(p, row, i, active, budget); k < len(active) {
+		return false, active[k], reads + k + 1
+	}
+	return true, -1, reads + len(active)
+}
+
+// firstOver returns the position in js of the first receiver whose
+// load plus sender i's contribution exceeds budget, or len(js) when
+// none does. row is i's resident dense row, or nil to read i's
+// contributions through Contribution.
+func (a *Accum) firstOver(p radio.Params, row []float64, i int, js []int, budget float64) int {
+	if row != nil {
+		// A dense field has no tail: Load(j) is load[j], and i's
+		// contribution is its row entry when positive.
+		for k, j := range js {
+			l := a.load[j]
+			if v := row[j]; v > 0 {
+				l += v
+			}
+			if !p.InformedBudget(l, budget) {
+				return k
+			}
+		}
+		return len(js)
+	}
+	for k, j := range js {
 		if !p.InformedBudget(a.Load(j)+a.Contribution(i, j), budget) {
-			return false
+			return k
 		}
 	}
-	return true
+	return len(js)
+}
+
+// admit folds sender i into the active set and into asc, the ascending
+// copy of the active set insert hands fits.
+func (a *Accum) admit(i int) {
+	a.AddLink(i)
+	k, _ := slices.BinarySearch(a.asc, i)
+	a.asc = slices.Insert(a.asc, k, i)
 }
 
 // Contribution returns the conservative load delta receiver j would

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mathx"
@@ -81,19 +82,27 @@ func assertAssessBitIdentical(t *testing.T, label string, pr *Problem, s Schedul
 }
 
 // TestAssessMatchesLegacyThreePass is the verify-once differential
-// gate: over dense and sparse fields — with noise, heterogeneous powers
-// and log-uniform lengths on some draws — every registered algorithm's
-// schedule, random (mostly infeasible) subsets and the empty schedule
-// assess bit-identically to the three separate passes.
+// gate: over dense (fresh, and with every other row resident) and
+// sparse fields — with noise, heterogeneous powers and log-uniform
+// lengths on some draws — every registered algorithm's schedule,
+// random (mostly infeasible) subsets, each subset reversed with one
+// link repeated (an Active neither ascending nor duplicate-free, which
+// the sender-major dense walk must sum in the same order) and the
+// empty schedule assess bit-identically to the three separate passes.
 func TestAssessMatchesLegacyThreePass(t *testing.T) {
 	violations := 0
 	for seed := uint64(1); seed <= 10; seed++ {
 		dense := quickProblem(seed)
+		partly := MustNewProblem(dense.Links, dense.Params)
+		for i := 0; i < partly.N(); i += 2 {
+			partly.field.(*DenseField).row(i)
+		}
 		backends := []struct {
 			name string
 			pr   *Problem
 		}{
 			{"dense", dense},
+			{"dense-partly", partly},
 			{"sparse", MustNewProblem(dense.Links, dense.Params, WithSparseField(SparseOptions{}))},
 			{"sparse-5e-3", MustNewProblem(dense.Links, dense.Params, WithSparseField(SparseOptions{Cutoff: 5e-3}))},
 		}
@@ -116,6 +125,11 @@ func TestAssessMatchesLegacyThreePass(t *testing.T) {
 					}
 				}
 				violations += assertAssessBitIdentical(t, b.name+"/random", b.pr, NewSchedule("random", idx))
+				if len(idx) > 0 {
+					unsorted := append(slices.Clone(idx), idx[len(idx)/2])
+					slices.Reverse(unsorted)
+					assertAssessBitIdentical(t, b.name+"/unsorted", b.pr, Schedule{Active: unsorted, Algorithm: "unsorted"})
+				}
 			}
 			assertAssessBitIdentical(t, b.name+"/empty", b.pr, Schedule{})
 		}

@@ -102,8 +102,8 @@ func (f *DenseField) N() int { return f.n }
 // Factor implements InterferenceField: the resident row's entry, or
 // the scalar kernel on the same operands when row i is not filled.
 func (f *DenseField) Factor(i, j int) float64 {
-	if r := f.rows[i].Load(); r != nil {
-		return (*r)[j]
+	if r := f.filledRow(i); r != nil {
+		return r[j]
 	}
 	if i == j {
 		return 0
@@ -151,12 +151,23 @@ func (f *DenseField) Bytes() int64 {
 // ResidentRows reports how many sender rows have been filled so far.
 func (f *DenseField) ResidentRows() int { return int(f.resident.Load()) }
 
+// filledRow returns sender i's factor row when it is filled, else nil.
+// It never fills or charges the row: the admission test and Assess
+// read a resident row in place and an unfilled one through Factor's
+// scalar kernel.
+func (f *DenseField) filledRow(i int) []float64 {
+	if r := f.rows[i].Load(); r != nil {
+		return *r
+	}
+	return nil
+}
+
 // row returns sender i's factor row, filling and publishing it on
 // first use; the accumulators' dense fast path walks it directly
 // instead of paying a closure call per entry.
 func (f *DenseField) row(i int) []float64 {
-	if r := f.rows[i].Load(); r != nil {
-		return *r
+	if r := f.filledRow(i); r != nil {
+		return r
 	}
 	r := make([]float64, f.n)
 	f.kern.FactorRow(f.power[i], f.sx[i], f.sy[i], f.rx, f.ry, f.kc, i, r)
@@ -181,8 +192,8 @@ func (f *DenseField) epoch() uint32 {
 // scalar evaluations per epoch before the n-entry fill that buying
 // would have paid up front. Charges of an earlier epoch count as zero.
 func (f *DenseField) rent(i, m int, e uint32) []float64 {
-	if r := f.rows[i].Load(); r != nil {
-		return *r
+	if r := f.filledRow(i); r != nil {
+		return r
 	}
 	for {
 		c := f.charge[i].Load()

@@ -247,7 +247,7 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, sp obs.Span) (
 // remove only restores the value, not necessarily the bits, near the
 // feasibility slack).
 func tryInclude(pr *Problem, set []int, acc *Accum, i int) (*Accum, bool) {
-	if !acc.fits(pr.Params, i, set, acc.gammaEps) {
+	if ok, _, _ := acc.fits(pr.Params, i, set, acc.gammaEps, -1); !ok {
 		return nil, false
 	}
 	ni := acc.Clone()

@@ -95,9 +95,10 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp 
 	} else {
 		acc = scr.noiseAccum(pr)
 	}
-	active, rejected := greedyInsert(pr, scr, acc, order)
+	active, rejected, reads := greedyInsert(pr, scr, acc, order)
 	ph.Add(obs.KeyAdmitted, int64(len(active)))
 	ph.Add(obs.KeyRejected, int64(rejected))
+	ph.Add(obs.KeyFactorReads, int64(reads))
 	ph.End()
 	return finishSchedule(g.Name(), active, dst)
 }
@@ -105,14 +106,29 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp 
 // greedyOrder returns the links sel admits in the greedy pick order:
 // descending rate, ties by ascending length, then by index — or, with
 // weights, descending weight, ties by descending rate, then by index.
-// Keys are negated so the shared ascending two-key sorter realizes the
+// The zero Selection's order depends on the link set alone, so a
+// Prepared keeps it per geometry generation (preparedShared) and its
+// solves share it read-only; a mask or weights, or a standalone
+// scratch, sorts per call into scr's sorter.
+func greedyOrder(pr *Problem, scr *Scratch, sel Selection) []int {
+	if sel.Mask == nil && sel.Weights == nil {
+		return scr.pickOrder(pr, greedyPick)
+	}
+	return sortSelected(pr, scr, sel)
+}
+
+// sortGreedy sorts the zero Selection's order into scr.
+func sortGreedy(pr *Problem, scr *Scratch) []int { return sortSelected(pr, scr, Selection{}) }
+
+// sortSelected sorts greedyOrder's order into scr's sorter. Keys are
+// negated so the shared ascending two-key sorter realizes the
 // descending order. It lists the admitted links in index order and
 // stable-sorts only that list: a stable sort restricted to a subset
 // equals the stable sort of that subset, so the pick order — and with
 // it the schedule — matches a sub-problem solve over the same links,
 // and a tile's order-contiguous run is the order its members would be
-// reached in. The result lives in scr's sorter.
-func greedyOrder(pr *Problem, scr *Scratch, sel Selection) []int {
+// reached in.
+func sortSelected(pr *Problem, scr *Scratch, sel Selection) []int {
 	n := pr.N()
 	ps := &scr.sorter
 	order := intsIn(&ps.order, n)[:0]
@@ -156,20 +172,30 @@ func greedyOrder(pr *Problem, scr *Scratch, sel Selection) []int {
 	return ps.order
 }
 
-// insert is the greedy insertion loop: it walks order and admits each
-// sender that fits against budget, appending it to active. It returns
-// the grown active set and the number of senders rejected.
-func insert(p radio.Params, acc *Accum, order []int, budget float64, active []int) ([]int, int) {
-	rejected := 0
+// insert is the greedy insertion loop: from acc's empty active set it
+// walks order and admits each sender that fits against budget,
+// appending it to active. It returns the grown active set, the number
+// of senders rejected and the admission test's factor reads. The last
+// active receiver to reject a candidate is the witness the next tests
+// check first: the active set only grows inside the pass, so it stays
+// a member, and a receiver near its budget tends to reject the next
+// candidate too.
+func insert(p radio.Params, acc *Accum, order []int, budget float64, active []int) (_ []int, rejected, reads int) {
+	w := -1
 	for _, i := range order {
-		if !acc.fits(p, i, active, budget) {
+		ok, binding, r := acc.fits(p, i, acc.asc, budget, w)
+		reads += r
+		if !ok {
 			rejected++
+			if binding >= 0 {
+				w = binding
+			}
 			continue
 		}
-		acc.AddLink(i)
+		acc.admit(i)
 		active = append(active, i)
 	}
-	return active, rejected
+	return active, rejected, reads
 }
 
 // greedyInsert is the full-budget greedy insertion over an explicit
@@ -179,14 +205,14 @@ func insert(p radio.Params, acc *Accum, order []int, budget float64, active []in
 // tail-bounded (sparse) fields it runs prunedInsert, which admits and
 // rejects the same senders as insert in O(stored degree) per candidate
 // instead of Θ(|active|).
-func greedyInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) (active []int, rejected int) {
+func greedyInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) (active []int, rejected, reads int) {
 	if acc.hasTail {
-		active, rejected = prunedInsert(pr, scr, acc, order)
+		active, rejected, reads = prunedInsert(pr, scr, acc, order)
 	} else {
-		active, rejected = insert(pr.Params, acc, order, acc.gammaEps, scr.activeBuf(pr.N()))
+		active, rejected, reads = insert(pr.Params, acc, order, acc.gammaEps, scr.activeBuf(pr.N()))
 	}
 	scr.active = active
-	return active, rejected
+	return active, rejected, reads
 }
 
 // prunedInsert is insert's fast path for tail-bounded (sparse) fields,
@@ -221,10 +247,9 @@ func greedyInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) (active []
 // with exactly fits' expression, so the admitted set and pick order
 // are identical to insert's on every input;
 // TestGreedyInsertMatchesPlainLoop pins that equivalence.
-func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) ([]int, int) {
+func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) (_ []int, rejected, reads int) {
 	p, budget := pr.Params, acc.gammaEps
 	active := scr.activeBuf(pr.N())
-	rejected := 0
 	isActive := boolsIn(&scr.insAct, pr.N())
 	m := func(j int) float64 { return acc.load[j] - acc.tail[j]*acc.nearPow[j] }
 	M := math.Inf(-1)
@@ -252,7 +277,9 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) ([]int, in
 			} else {
 				// Margin band: rounding could flip the bound tests, so
 				// let the exact scan decide.
-				ok = acc.fits(p, i, active, budget)
+				var r int
+				ok, _, r = acc.fits(p, i, active, budget, -1)
+				reads += r
 			}
 		}
 		if !ok {
@@ -273,7 +300,7 @@ func prunedInsert(pr *Problem, scr *Scratch, acc *Accum, order []int) ([]int, in
 			}
 		})
 	}
-	return active, rejected
+	return active, rejected, reads
 }
 
 func init() {

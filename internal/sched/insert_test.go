@@ -73,46 +73,177 @@ func tailBoundedFields(t testing.TB) []tailBoundedField {
 	return out
 }
 
-// TestGreedyInsertMatchesPlainLoop pins greedyInsert's pruned path on
-// tail-bounded fields to the plain insert loop: from fresh noise
-// accumulators, over Greedy's own pick order and over a Mask and a
-// Weights selection's, both must admit the same senders in the same
-// order and reject the same number. Greedy and greedy-sharded both run
-// greedyInsert, so comparing them with each other cannot catch a
-// pruning bug; this test compares the pruned loop with the plain one.
+// plainFits is Accum.fits as it stood before it checked a witness
+// first, scanned an ascending copy and read resident rows in place:
+// i's own load, then every active receiver's load plus i's
+// contribution, in the order given. It is the reference the production
+// admission paths are pinned to.
+func plainFits(p radio.Params, a *Accum, i int, active []int, budget float64) bool {
+	if !p.InformedBudget(a.Load(i), budget) {
+		return false
+	}
+	for _, j := range active {
+		if !p.InformedBudget(a.Load(j)+a.Contribution(i, j), budget) {
+			return false
+		}
+	}
+	return true
+}
+
+// plainInsert is the greedy insertion loop over plainFits, from a's
+// empty active set.
+func plainInsert(p radio.Params, a *Accum, order []int, budget float64) (active []int, rejected int) {
+	for _, i := range order {
+		if !plainFits(p, a, i, active, budget) {
+			rejected++
+			continue
+		}
+		a.AddLink(i)
+		active = append(active, i)
+	}
+	return active, rejected
+}
+
+// insertField names a problem whose greedy insertion is pinned to
+// plainInsert. build returns the problem for one run: a dense field's
+// residency changes as runs fill rows, so a fresh or partly resident
+// field is rebuilt for each. pruned says whether the field carries a
+// tail bound, so that greedyInsert must take prunedInsert on it.
+type insertField struct {
+	name   string
+	build  func() *Problem
+	pruned bool
+}
+
+// denseResidencyFields are n=2000 paper-density dense fields over one
+// link set: fresh (the admission test reads every factor through the
+// scalar kernel), partly resident (every third sender row filled) and
+// fully resident (every read in place).
+func denseResidencyFields(t testing.TB) []insertField {
+	t.Helper()
+	const n = 2000
+	cfg := network.PaperConfig(n)
+	cfg.Region = 500 * math.Sqrt(n/300.0)
+	ls, err := network.Generate(cfg, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := func(fill func(i int) bool) *Problem {
+		pr := MustNewProblem(ls, radio.DefaultParams())
+		for i := 0; i < n; i++ {
+			if fill(i) {
+				pr.field.(*DenseField).row(i)
+			}
+		}
+		return pr
+	}
+	resident := filled(func(int) bool { return true }) // nothing left to fill: shared
+	return []insertField{
+		{"dense-2000-fresh", func() *Problem { return filled(func(int) bool { return false }) }, false},
+		{"dense-2000-partly", func() *Problem { return filled(func(i int) bool { return i%3 == 0 }) }, false},
+		{"dense-2000-resident", func() *Problem { return resident }, false},
+	}
+}
+
+// TestGreedyInsertMatchesPlainLoop pins the production admission
+// paths to plainInsert, a copy of the loop they replaced: greedyInsert
+// (prunedInsert on tail-bounded fields) and insert itself (witness
+// first, ascending scan, resident rows read in place). Over the sparse
+// fields, each of which must carry a tail bound so that greedyInsert
+// provably runs prunedInsert on it, and the fresh, partly and fully
+// resident dense fields, which must not; and over Greedy's own pick
+// order, a Mask and a Weights selection's (with the scoped accumulator
+// Greedy gives a strict subset) and greedy-sharded's tile pass (four
+// tiles against the reserved budget), each must admit the same senders
+// in the same order and reject the same number. Greedy and
+// greedy-sharded both run these paths, so comparing them with each
+// other cannot catch a bug; this test compares them with the plain
+// loop.
 func TestGreedyInsertMatchesPlainLoop(t *testing.T) {
+	var fields []insertField
 	for _, f := range tailBoundedFields(t) {
+		pr := f.pr
+		fields = append(fields, insertField{f.name, func() *Problem { return pr }, true})
+	}
+	fields = append(fields, denseResidencyFields(t)...)
+	for _, f := range fields {
 		t.Run(f.name, func(t *testing.T) {
-			pr := f.pr
-			n := pr.N()
+			n := f.build().N()
 			mask, weights := make([]bool, n), make([]float64, n)
 			for i := range mask {
 				mask[i] = i%3 != 0
 				weights[i] = float64(i*7919%13) - 2 // ties, and some ≤ 0 (excluded)
 			}
-			var scr Scratch
 			for _, sel := range []struct {
 				name string
 				sel  Selection
 			}{{"greedy", Selection{}}, {"mask", Selection{Mask: mask}}, {"weights", Selection{Weights: weights}}} {
+				pr := f.build()
+				var scr Scratch
 				order := slices.Clone(greedyOrder(pr, &scr, sel.sel))
-				acc := scr.noiseAccum(pr)
-				if !acc.hasTail {
-					t.Fatalf("%s: field carries no tail bound", sel.name)
-				}
-				got, gotRejected := greedyInsert(pr, &scr, acc, order)
 				ref := NewAccum(pr)
-				want, wantRejected := insert(pr.Params, ref, order, ref.gammaEps, nil)
+				want, wantRejected := plainInsert(pr.Params, ref, order, ref.gammaEps)
 				if len(want) == 0 {
 					t.Fatalf("%s: plain loop admitted nothing", sel.name)
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: pruned loop admitted %v\nplain loop admitted %v", sel.name, got, want)
-				}
-				if gotRejected != wantRejected {
-					t.Fatalf("%s: pruned loop rejected %d, plain loop %d", sel.name, gotRejected, wantRejected)
+				for _, path := range []string{"greedyInsert", "insert"} {
+					pr := f.build()
+					var got []int
+					var gotRejected int
+					if path == "insert" {
+						acc := NewAccum(pr)
+						got, gotRejected, _ = insert(pr.Params, acc, order, acc.gammaEps, nil)
+					} else {
+						acc := scr.noiseAccum(pr)
+						if len(order) < n {
+							acc = scr.scopedAccum(pr, order)
+						}
+						if acc.hasTail != f.pruned {
+							t.Fatalf("%s: field carries a tail bound: %v, want %v", sel.name, acc.hasTail, f.pruned)
+						}
+						got, gotRejected, _ = greedyInsert(pr, &scr, acc, order)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s/%s admitted %v\nplain loop admitted %v", sel.name, path, got, want)
+					}
+					if gotRejected != wantRejected {
+						t.Fatalf("%s/%s rejected %d, plain loop %d", sel.name, path, gotRejected, wantRejected)
+					}
 				}
 			}
+			assertTilePassMatchesPlainLoop(t, f.build())
 		})
+	}
+}
+
+// assertTilePassMatchesPlainLoop partitions Greedy's order into four
+// tiles and runs each through insert on a restricted accumulator, as a
+// greedy-sharded worker does, against plainInsert on its own.
+func assertTilePassMatchesPlainLoop(t *testing.T, pr *Problem) {
+	t.Helper()
+	var scr Scratch
+	order := slices.Clone(greedyOrder(pr, &scr, Selection{}))
+	var sb shardBufs
+	tiles := sb.partition(pr, &scr, 4, order)
+	if tiles < 2 {
+		t.Fatalf("partition made %d tiles", tiles)
+	}
+	budget := pr.GammaEps() * (1 - Sharded{}.reserveFrac())
+	acc, ref := scr.zeroAccum(pr), NewAccum(pr)
+	admitted := 0
+	for tile := 0; tile < tiles; tile++ {
+		members := sb.tileOrder[sb.tileStart[tile]:sb.tileStart[tile+1]]
+		ref.restrict(members)
+		want, wantRejected := plainInsert(pr.Params, ref, members, budget)
+		acc.restrict(members)
+		got, gotRejected, _ := insert(pr.Params, acc, members, budget, nil)
+		if !slices.Equal(got, want) || gotRejected != wantRejected {
+			t.Fatalf("tile %d: insert admitted %v (rejected %d)\nplain loop admitted %v (rejected %d)",
+				tile, got, gotRejected, want, wantRejected)
+		}
+		admitted += len(want)
+	}
+	if admitted == 0 {
+		t.Fatal("tile pass admitted nothing")
 	}
 }

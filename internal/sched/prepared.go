@@ -16,7 +16,8 @@ import (
 // plus everything the solvers can share across repeated runs on the
 // same link set — a sync.Pool of per-solve Scratch workspaces and a
 // set of immutable geometry caches (rule-1 sender indexes keyed by
-// cell side, the median link length, sender positions). The field is
+// cell side, the median link length, sender positions, and the greedy
+// and elimination pick orders). The field is
 // the expensive part of a solve: a dense field fills a sender's factor
 // row the first time any solve on the handle reads it, so later solves
 // pay only for rows nobody has read yet. Once those are resident,
@@ -190,8 +191,9 @@ func (pr *Problem) FieldCompatible(q radio.Params) bool {
 }
 
 // preparedShared holds the immutable geometry caches solve scratches
-// read through: sender positions, the median link length, and rule-1
-// spatial indexes keyed by grid cell side. Values are computed once
+// read through: sender positions, the median link length, rule-1
+// spatial indexes keyed by grid cell side, and the pick orders no ε
+// changes (pickKind). Values are computed once
 // per problem generation (Rebind bumps the generation) and shared by
 // every Scratch of the handle — a published *geom.Index is never
 // mutated, so concurrent solves read it lock-free after the map
@@ -205,6 +207,7 @@ type preparedShared struct {
 	medLen   float64
 	medValid bool
 	indexes  map[float64]*geom.Index
+	orders   [numPickKinds][]int
 }
 
 // syncGen drops every cache when pr's geometry generation moved.
@@ -219,6 +222,7 @@ func (sh *preparedShared) syncGen(pr *Problem) {
 	sh.recvs = nil
 	sh.medValid = false
 	sh.indexes = nil
+	sh.orders = [numPickKinds][]int{}
 }
 
 func (sh *preparedShared) sendersFor(pr *Problem) []geom.Point {
@@ -259,6 +263,22 @@ func (sh *preparedShared) medianLength(pr *Problem) float64 {
 		sh.medValid = true
 	}
 	return sh.medLen
+}
+
+// pickOrder returns pr's pick order of the given kind, sorted on first
+// use per generation by the kind's sort (pickSorts) into scr — the
+// calling solve's scratch — and copied out once, so a rebind costs one
+// n-slice per kind. Every solve on the handle and on its Derive'd ε
+// siblings reads the published slice and never writes it.
+func (sh *preparedShared) pickOrder(pr *Problem, kind pickKind, scr *Scratch) []int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.syncGen(pr)
+	if sh.orders[kind] == nil {
+		o := pickSorts[kind](pr, scr)
+		sh.orders[kind] = append(make([]int, 0, len(o)), o...)
+	}
+	return sh.orders[kind]
 }
 
 func (sh *preparedShared) senderIndex(pr *Problem, side float64) *geom.Index {

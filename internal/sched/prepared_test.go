@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -163,6 +164,136 @@ func TestPreparedConcurrent(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestPreparedDeriveConcurrentOrders races Derive'd siblings at four ε
+// values, sharing one cold handle's caches, to build and read the pick
+// orders no ε changes (greedy's, the elimination core's): 16 goroutines
+// solve every sibling with Greedy, RLE, ApproxDiversity and
+// greedy-sharded, and each schedule must equal a standalone solve of a
+// fresh problem at that ε. -race runs it in scripts/check.sh.
+func TestPreparedDeriveConcurrentOrders(t *testing.T) {
+	ls := preparedTestInstance(t, 150, 3)
+	base, err := Prepare(ls, radio.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	algorithms := []Algorithm{Greedy{}, RLE{}, ApproxDiversity{}, Sharded{Shards: 4}}
+	var siblings []*Prepared
+	var want [][]Schedule
+	for _, eps := range []float64{0.005, 0.01, 0.02, 0.05} {
+		p := radio.DefaultParams()
+		p.Eps = eps
+		sib, err := base.Derive(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		siblings = append(siblings, sib)
+		ref := MustNewProblem(ls, p)
+		var w []Schedule
+		for _, a := range algorithms {
+			w = append(w, a.Schedule(ref))
+		}
+		want = append(want, w)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for it := 0; it < len(siblings)*len(algorithms); it++ {
+				k := (g + it) % (len(siblings) * len(algorithms))
+				s, a := k/len(algorithms), k%len(algorithms)
+				got := siblings[s].Schedule(algorithms[a])
+				if !got.Equal(want[s][a]) {
+					errc <- fmt.Errorf("sibling %d %s: concurrent solve %v, standalone %v",
+						s, algorithms[a].Name(), got.Active, want[s][a].Active)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+}
+
+// TestPreparedRebindReordersPicks pins the pick orders a Prepared
+// keeps to its geometry: a Rebind that stretches the shortest link past
+// every other moves it from first to last in both greedy's and the
+// elimination core's order (rates are uniform, so length decides
+// both). Solves through the handle, whose orders were cached before
+// the move, must equal a fresh build's, and so must the cached orders.
+func TestPreparedRebindReordersPicks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{{"dense", nil}, {"sparse", []Option{WithSparseField(SparseOptions{})}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ls := preparedTestInstance(t, 120, 5)
+			p := radio.DefaultParams()
+			prep, err := Prepare(ls, p, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			algorithms := []Algorithm{Greedy{}, RLE{}, ApproxDiversity{}, Sharded{Shards: 4}}
+			for _, a := range algorithms {
+				_ = prep.Schedule(a) // cache both orders at generation 0
+			}
+
+			k, longest := 0, 0.0
+			for i := 0; i < ls.Len(); i++ {
+				if ls.Length(i) < ls.Length(k) {
+					k = i
+				}
+				longest = max(longest, ls.Length(i))
+			}
+			links := ls.Links()
+			l, stretch := links[k], 1.5*longest/ls.Length(k)
+			links[k].Receiver.X = l.Sender.X + (l.Receiver.X-l.Sender.X)*stretch
+			links[k].Receiver.Y = l.Sender.Y + (l.Receiver.Y-l.Sender.Y)*stretch
+			ls2, err := network.NewLinkSet(links)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prep.Problem().Rebind(ls2, []int{k}); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewProblem(ls2, p, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range algorithms {
+				if got, want := prep.Schedule(a), a.Schedule(fresh); !got.Equal(want) {
+					t.Fatalf("%s after the move: prepared %v, fresh %v", a.Name(), got.Active, want.Active)
+				}
+			}
+			before := MustNewProblem(ls, p, tc.opts...)
+			for _, o := range []struct {
+				name string
+				kind pickKind
+			}{{"greedy", greedyPick}, {"elimination", eliminationPick}} {
+				var scr Scratch
+				was := slices.Index(scr.pickOrder(before, o.kind), k)
+				want := slices.Clone(scr.pickOrder(fresh, o.kind))
+				if now := slices.Index(want, k); was != 0 || now != len(want)-1 {
+					t.Fatalf("%s order: link %d moved from rank %d to %d, want 0 to %d", o.name, k, was, now, len(want)-1)
+				}
+				pscr := prep.getScratch()
+				got := pscr.pickOrder(prep.Problem(), o.kind)
+				prep.putScratch(pscr)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s order cached after the move differs from a fresh sort", o.name)
+				}
+			}
+		})
 	}
 }
 

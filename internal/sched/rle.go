@@ -91,13 +91,8 @@ type interferenceAccum interface {
 // the set out via finishSchedule before the scratch is reused.
 func eliminationSchedule(pr *Problem, cfg eliminationConfig, sp obs.Span, scr *Scratch) []int {
 	n := pr.N()
-	// Pick order: ascending link length, ties by index (deterministic).
 	ph := sp.Child("sort")
-	ps := scr.pickSorterBufs(n)
-	for i := 0; i < n; i++ {
-		ps.k1[i] = pr.Links.Length(i)
-	}
-	sort.Stable(ps)
+	order := scr.pickOrder(pr, eliminationPick)
 	ph.End()
 
 	ph = sp.Child("eliminate")
@@ -115,7 +110,7 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, sp obs.Span, scr *S
 	active := scr.activeBuf(n)
 	var rule1, rule2 int64
 
-	for _, i := range ps.order {
+	for _, i := range order {
 		if !alive[i] {
 			continue
 		}
@@ -150,6 +145,19 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, sp obs.Span, scr *S
 	ph.Add(obs.KeyRule2, rule2)
 	ph.End()
 	return active
+}
+
+// sortByLength sorts the elimination core's pick order into scr:
+// ascending link length, ties by index. It depends on the link set
+// alone, so a Prepared keeps it (Scratch.pickOrder).
+func sortByLength(pr *Problem, scr *Scratch) []int {
+	n := pr.N()
+	ps := scr.pickSorterBufs(n)
+	for i := 0; i < n; i++ {
+		ps.k1[i] = pr.Links.Length(i)
+	}
+	sort.Stable(ps)
+	return ps.order
 }
 
 // rule1IndexSide derives a grid cell side for the rule-1 sender index:

@@ -120,12 +120,25 @@ func (a Assessment) Feasible() bool { return len(a.Violations) == 0 }
 // clean assessment still certifies the schedule against the true
 // factors, and each success probability is a lower bound on the true
 // one.
+//
+// On the dense field denseLoads sums the loads sender-major, in
+// scheduleLoad's order per receiver; other fields sum each receiver's
+// load on its own (scheduleLoad).
 func Assess(pr *Problem, s Schedule) Assessment {
 	a := Assessment{SuccessProb: make([]float64, len(s.Active))}
 	budget := pr.GammaEps()
+	var sums []mathx.Accumulator
+	if d, ok := pr.field.(*DenseField); ok {
+		sums = denseLoads(d, s.Active)
+	}
 	var failures mathx.Accumulator
 	for k, j := range s.Active {
-		load := scheduleLoad(pr, s, j)
+		var load float64
+		if sums != nil {
+			load = sums[k].Sum()
+		} else {
+			load = scheduleLoad(pr, s, j)
+		}
 		if !pr.Params.Informed(load) {
 			a.Violations = append(a.Violations, Violation{Link: j, Factor: load, Budget: budget})
 		}
@@ -164,6 +177,41 @@ func scheduleLoad(pr *Problem, s Schedule, j int) float64 {
 		sum.Add(tb * farPow)
 	}
 	return sum.Sum()
+}
+
+// denseLoads is scheduleLoad for every receiver in active at once on
+// the dense field, which truncates nothing: each active sender's row
+// is walked once over the active receivers, adding each positive
+// factor into that receiver's own compensated sum. A receiver's sum
+// takes its noise term first, then its factors in active order —
+// scheduleLoad's order — so each load is bit-identical to it, whatever
+// the order of active and however often a link repeats in it. A
+// resident row is read in place, an unfilled one through Factor's
+// scalar kernel: Assess never fills or charges a row.
+func denseLoads(f *DenseField, active []int) []mathx.Accumulator {
+	sums := make([]mathx.Accumulator, len(active))
+	for k, j := range active {
+		sums[k].Add(f.NoiseTerm(j))
+	}
+	for _, i := range active {
+		if row := f.filledRow(i); row != nil {
+			for k, j := range active {
+				if v := row[j]; v > 0 && j != i {
+					sums[k].Add(v)
+				}
+			}
+			continue
+		}
+		for k, j := range active {
+			if j == i {
+				continue
+			}
+			if v := f.Factor(i, j); v > 0 {
+				sums[k].Add(v)
+			}
+		}
+	}
+	return sums
 }
 
 // Feasible reports whether the schedule satisfies every receiver's

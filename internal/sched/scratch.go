@@ -20,8 +20,9 @@ import (
 // ScheduleContext run (on a fresh Scratch per solve).
 type Scratch struct {
 	// pp points at the owning Prepared's shared immutable caches
-	// (sender index, median length); nil for standalone scratches,
-	// which recompute per call exactly as the pre-Prepared code did.
+	// (sender index, median length, pick orders); nil for standalone
+	// scratches, which recompute per call exactly as the pre-Prepared
+	// code did.
 	pp *Prepared
 
 	sorter  pickSorter
@@ -224,6 +225,38 @@ func (s *Scratch) rule1Index(pr *Problem, senders []geom.Point, side float64) *g
 		return s.pp.shared.senderIndex(pr, side)
 	}
 	return geom.NewIndex(senders, side)
+}
+
+// pickKind names one of the pick orders that depend on the link set
+// alone, which a Prepared keeps per geometry generation.
+type pickKind int
+
+const (
+	// greedyPick is Greedy's zero-Selection order: descending rate,
+	// ties by ascending length, then by index (greedyOrder).
+	greedyPick pickKind = iota
+	// eliminationPick is the order RLE and ApproxDiversity share:
+	// ascending length, ties by index (sortByLength).
+	eliminationPick
+	numPickKinds
+)
+
+// pickSorts holds each pick kind's sort, which sorts the order into a
+// scratch's sorter.
+var pickSorts = [numPickKinds]func(*Problem, *Scratch) []int{
+	greedyPick:      sortGreedy,
+	eliminationPick: sortByLength,
+}
+
+// pickOrder returns pr's pick order of the given kind: the owning
+// Prepared's shared copy, which the kind's sort fills on first use per
+// generation, or, for a standalone scratch, that sort into s. Callers
+// read it and never write it.
+func (s *Scratch) pickOrder(pr *Problem, kind pickKind) []int {
+	if s.pp != nil {
+		return s.pp.shared.pickOrder(pr, kind, s)
+	}
+	return pickSorts[kind](pr, s)
 }
 
 // medianLength returns the median link length, cached per geometry

@@ -187,7 +187,7 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 			// restrict rescopes the worker's accumulator per tile, and
 			// the greedy insertion runs against the reserved budget.
 			acc := wscr.zeroAccum(pr)
-			var visited, rejected int
+			var visited, rejected, reads int
 			for {
 				t := int(cursor.Add(1)) - 1
 				if t >= tiles {
@@ -196,8 +196,9 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 				lo, hi := sb.tileStart[t], sb.tileStart[t+1]
 				members := sb.tileOrder[lo:hi]
 				acc.restrict(members)
-				adm, rej := insert(pr.Params, acc, members, budget, sb.admitted[lo:lo])
+				adm, rej, r := insert(pr.Params, acc, members, budget, sb.admitted[lo:lo])
 				rejected += rej
+				reads += r
 				sb.admCount[t] = int32(len(adm))
 				visited += len(members)
 				// Live progress for mid-solve stats reads
@@ -206,6 +207,7 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 				wsp.Add(obs.KeyTileAdmitted, int64(len(adm)))
 			}
 			wsp.SetInt("links", int64(visited))
+			wsp.Add(obs.KeyFactorReads, int64(reads))
 			wsp.End()
 			tileRejected.Add(int64(rejected))
 		}()
@@ -242,11 +244,12 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 	// rows too, and a cold field gets no row filled by one sharded
 	// solve — renting in the tiles and buying in a serial merge cost
 	// more than filling in the parallel tile pass did.
-	active, repairs := greedyInsert(pr, scr, scr.scopedAccum(pr, cand), cand)
+	active, repairs, reads := greedyInsert(pr, scr, scr.scopedAccum(pr, cand), cand)
 	ph.SetInt("candidates", int64(len(cand)))
 	ph.Add(obs.KeyBoundaryRepairs, int64(repairs))
 	ph.Add(obs.KeyAdmitted, int64(len(active)))
 	ph.Add(obs.KeyRejected, tileRejected.Load()+int64(repairs))
+	ph.Add(obs.KeyFactorReads, int64(reads))
 	ph.End()
 	return finishSchedule(a.Name(), active, dst), nil
 }
@@ -256,11 +259,12 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 // activation set (only the algorithm label differs).
 func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, sp obs.Span, dst []int) Schedule {
 	ph := sp.Child("tile_merge")
-	active, rejected := greedyInsert(pr, scr, scr.noiseAccum(pr), order)
+	active, rejected, reads := greedyInsert(pr, scr, scr.noiseAccum(pr), order)
 	ph.SetInt("candidates", int64(len(order)))
 	ph.Add(obs.KeyTiles, 1)
 	ph.Add(obs.KeyAdmitted, int64(len(active)))
 	ph.Add(obs.KeyRejected, int64(rejected))
+	ph.Add(obs.KeyFactorReads, int64(reads))
 	ph.End()
 	return finishSchedule(a.Name(), active, dst)
 }

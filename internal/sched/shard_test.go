@@ -188,7 +188,7 @@ func FuzzShardedFeasible(f *testing.F) {
 			// pruned greedyInsert on this sparse field.
 			var scr Scratch
 			acc := NewAccum(pr)
-			g, _ := insert(pr.Params, acc, greedyOrder(pr, &scr, Selection{}), acc.gammaEps, nil)
+			g, _, _ := insert(pr.Params, acc, greedyOrder(pr, &scr, Selection{}), acc.gammaEps, nil)
 			slices.Sort(g)
 			if !slices.Equal(s.Active, g) {
 				t.Fatalf("shards=1 not identical to the plain greedy loop:\n%v\n%v", s.Active, g)

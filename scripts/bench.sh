@@ -1,13 +1,15 @@
 #!/bin/sh
 # bench.sh — run the repository performance suite and emit a
-# machine-readable record (BENCH_PR21.json by default): ns/op, B/op,
+# machine-readable record (BENCH_PR22.json by default): ns/op, B/op,
 # and allocs/op for the figure-regeneration bench (Fig 5a), the
 # Monte-Carlo solve_mc shape (BenchmarkSimulateWarm, with its active
 # links and exact-replay rows per op),
 # interference-field construction, cold-build vs warm-prepared solves
 # (traced and untraced — the traced/untraced delta is the ≤5%
 # span-overhead gate, and BenchmarkSpanLifecycle documents the
-# 0 allocs/op warm span path), the schedd end-to-end paths (cold /
+# 0 allocs/op warm span path), warm greedy re-solves of a resident
+# n=2000 field over four ε with the admission test's factor reads per
+# op, the schedd end-to-end paths (cold /
 # prepared-field / response-cache-warm / batch), the request decode of
 # an n=2000 body fresh and through the link memo, the traffic engine
 # (per-slot cost, the ≥1M-packet n=5000 throughput run with its
@@ -19,7 +21,7 @@
 # the tile-sharded scale records: sharded-vs-unsharded greedy at
 # n=5000/20000 plus the n=100000 sparse build + sharded solve.
 #
-#   scripts/bench.sh              full run, writes BENCH_PR21.json
+#   scripts/bench.sh              full run, writes BENCH_PR22.json
 #   scripts/bench.sh -quick       1-iteration smoke (check.sh uses this)
 #   scripts/bench.sh -gate        converged fast subset (benchcmp gate)
 #   scripts/bench.sh -o out.json  choose the output path
@@ -39,7 +41,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out=BENCH_PR21.json
+out=BENCH_PR22.json
 benchtime=${BENCHTIME:-1s}
 buildbenchtime=3s
 mode=full
@@ -84,7 +86,7 @@ run() { # run <package> <bench regex> [benchtime]
 
 case "$mode" in
 quick)
-    run . 'BenchmarkSolveColdBuild$|BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$'
+    run . 'BenchmarkSolveColdBuild$|BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$|BenchmarkSolveWarmGreedy$'
     run . 'BenchmarkShardedVsGreedy$'
     run ./internal/server/ 'BenchmarkSolveBatch$|BenchmarkSessionEvents$'
     run ./internal/traffic/ 'BenchmarkEngineStep$|BenchmarkEngineLight$'
@@ -97,8 +99,9 @@ gate)
     # dozens (BenchmarkSimulateWarm) to hundreds of iterations inside
     # the default budget, so a >10% ns/op move is signal, not
     # scheduler noise; the per-op counts (links, active,
-    # exact_rows/op) are constants benchcmp compares exactly.
-    run . 'BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$'
+    # exact_rows/op, admission_reads/op) are constants benchcmp
+    # compares exactly.
+    run . 'BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$|BenchmarkSolveWarmGreedy$'
     run ./internal/server/ 'BenchmarkSessionEvents$'
     run ./internal/traffic/ 'BenchmarkEngineStep$'
     run ./internal/mc/ 'BenchmarkSimulateWarm$'
@@ -108,7 +111,7 @@ gate)
     run . 'BenchmarkFig5a$'
     # Field builds get a fixed multi-iteration budget (see header).
     run . 'BenchmarkNewProblem$' "$buildbenchtime"
-    run . 'BenchmarkSolveColdBuild$|BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$'
+    run . 'BenchmarkSolveColdBuild$|BenchmarkSolveWarmPrepared$|BenchmarkSolveWarmTraced$|BenchmarkSolveWarmGreedy$'
     # Sharded-vs-unsharded at n=5000/20000: a fixed 3-iteration budget
     # (the n=20000 sharded solve runs hundreds of ms per iteration).
     run . 'BenchmarkShardedVsGreedy$' 3x

@@ -31,7 +31,7 @@ for f in "$old" "$new"; do
     [ -r "$f" ] || { echo "benchcmp.sh: cannot read $f" >&2; exit 2; }
 done
 
-counts="links active exact_rows_per_op resident_rows packets_per_op contention_checks_per_op aware_fails_per_slot baseline_fails_per_slot"
+counts="links active exact_rows_per_op admission_reads_per_op resident_rows packets_per_op contention_checks_per_op aware_fails_per_slot baseline_fails_per_slot"
 
 # Flatten one bench.sh JSON into "name key value" lines: ns_per_op,
 # low_iter (value 1) and each count present. The records are

@@ -153,22 +153,38 @@ go test -race -run 'TestDense' -count=1 ./internal/sched/
 
 echo "== verify-once differential gate"
 # sched.Assess (one load pass for violations, success probabilities
-# and expected failures) against a copy of the former three-pass code:
-# bit-identical over dense and sparse fields, every registered
-# algorithm, and random infeasible subsets.
+# and expected failures; sender-major on the dense field) against a
+# copy of the former three-pass code: bit-identical over fresh and
+# partly resident dense fields and sparse fields, every registered
+# algorithm, random infeasible subsets, and those subsets reversed with
+# one link repeated.
 go test -run 'TestAssessMatchesLegacyThreePass' -count=1 ./internal/sched/
 
 echo "== greedy insertion differential gate"
-# Under -race, uncached: greedyInsert's pruned path for sparse fields
-# against the plain insert loop (the conformance sparse instances, the
-# solve-scale shape, a clustered, a spread-tail and a noisy set; over
-# Greedy's own order and a Mask and a Weights selection's: admitted
-# lists in pick order and rejected counts equal), and greedy-sharded's
+# Under -race, uncached: greedyInsert (the pruned path on sparse
+# fields) and insert (witness first, ascending scan, resident rows read
+# in place) against a copy of the former plain admission loop (the
+# conformance sparse instances, the solve-scale shape, a clustered, a
+# spread-tail and a noisy set, and fresh, partly and fully resident
+# dense n=2000 fields; over Greedy's own order, a Mask and a Weights
+# selection's and a four-tile pass: admitted lists in pick order and
+# rejected counts equal), and greedy-sharded's
 # tile pass against a copy of the former tileAccum loop (each tile's
 # admissions, the tile rejections and the merged schedule equal; dense
 # and sparse, uniform and clustered, shards × reserve, GOMAXPROCS 1
 # and 2).
 go test -race -run 'TestGreedyInsertMatchesPlainLoop|TestShardedTilePassMatchesLegacy' -count=1 ./internal/sched/
+
+echo "== pick-order cache gate"
+# Under -race, uncached: the greedy and elimination pick orders a
+# Prepared keeps per geometry generation. Derive'd siblings at four ε
+# build and read them concurrently from a cold handle (every schedule
+# equal to a standalone solve), and a Rebind that moves a link from
+# first to last in both orders leaves every Prepared solve, and the
+# cached orders, equal to a fresh build's (in sched, and in the
+# mobility tracking loop).
+go test -race -run 'TestPreparedDeriveConcurrentOrders|TestPreparedRebindReordersPicks' -count=1 ./internal/sched/
+go test -race -run 'TestTrackerPreparedMatchesFresh' -count=1 ./internal/mobility/
 
 echo "== sharded solver gate"
 # The tile-sharded solver under -race: the tile-worker concurrency
@@ -199,10 +215,12 @@ echo "== bench smoke"
 sh scripts/bench.sh -quick -o /tmp/bench_smoke.json
 
 echo "== bench regression gate"
-# The converged fast subset (warm prepared solves, session events,
-# traffic slot loop, the Monte-Carlo solve_mc shape, span lifecycle)
-# against the committed baseline, recorded at 2 CPUs. The per-op work
-# counts (links, active, exact_rows/op) must equal the baseline's
+# The converged fast subset (warm prepared solves, warm greedy
+# re-solves over four ε, session events, traffic slot loop, the
+# Monte-Carlo solve_mc shape, span lifecycle) against the committed
+# baseline, recorded at 2 CPUs (each ns/op the median of five -gate
+# runs spread over ten minutes). The per-op work counts (links,
+# active, exact_rows/op, admission_reads/op) must equal the baseline's
 # exactly on any box: changing one means committing a new baseline.
 # Two concessions to the shared CI box for ns/op: it is reported but
 # not gated when the baseline was recorded at a different CPU count
@@ -212,7 +230,7 @@ echo "== bench regression gate"
 # (BenchmarkSpanLifecycle 159→223 ns on identical code), so a tighter
 # wall-clock gate flakes on quiet trees. benchcmp's 10% default
 # remains for manual same-conditions comparisons.
-baseline=BENCH_PR17.json
+baseline=BENCH_PR22.json
 base_procs=$(sed -n 's/.*"maxprocs": *\([0-9][0-9]*\).*/\1/p' "$baseline")
 cur_procs=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 sh scripts/bench.sh -gate -o /tmp/bench_gate.json
