@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test test-full test-stream test-shard bench bench-field bench-json bench-serve bench-obs bench-shard bench-traffic build fmt vet fuzz serve serve-smoke metrics-smoke trace-smoke
+.PHONY: check test test-full test-stream test-shard bench bench-field bench-json bench-serve bench-obs bench-shard bench-traffic build fmt vet fuzz serve serve-smoke metrics-smoke trace-smoke loc
 
 ## check: formatting + vet + build + race-enabled test suite (the gate)
 check:
@@ -105,6 +105,12 @@ fuzz:
 	$(GO) test -fuzz 'FuzzRead$$' -fuzztime 30s ./internal/network/
 	$(GO) test -fuzz FuzzReadLinkSet -fuzztime 30s ./internal/network/
 	$(GO) test -fuzz FuzzSessionEvents -fuzztime 30s ./internal/server/
+
+## loc: lines in the non-test .go files outside benchmark/,
+## .bench_build/ and .git/ — the size figure ROADMAP.md and CHANGES.md
+## quote
+loc:
+	@find . \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 fmt:
 	gofmt -w .

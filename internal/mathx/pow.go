@@ -111,9 +111,6 @@ func NewHalfPow(alpha float64) HalfPow {
 // Kind reports the selected evaluation strategy.
 func (h HalfPow) Kind() PowKind { return h.kind }
 
-// HalfExponent returns α/2 — what the generic path raises x to.
-func (h HalfPow) HalfExponent() float64 { return h.half }
-
 // Raise returns x^{α/2} for x ≥ 0. NaN propagates; the specialized
 // kinds agree with Raise's generic result to ≤ 1 ulp of correctly
 // rounded (see PowKind for the per-kind bounds).

@@ -24,14 +24,14 @@ func (a ApproxLogN) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 
 // solve implements solver via the shared diversity-partition core
 // (same phases and counters as LDP).
-func (a ApproxLogN) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (Schedule, error) {
+func (a ApproxLogN) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	sp := obs.SpanFrom(ctx)
 	ph := sp.Child("classes")
-	budget, spread, usable := pr.detHeadroom()
+	budget, spread, usable := pr.detHeadroomIn(boolsIn(&scr.usable, pr.N()))
 	classes := filterClasses(pr.Links.BandedLengthClasses(), usable)
 	beta := detBetaFor(pr.Params, budget, spread)
 	ph.End()
-	best := gridPartitionBest(pr, classes, beta, sp)
+	best := gridPartitionBest(pr, scr.receiversOf(pr), classes, beta, sp)
 	return finishSchedule(a.Name(), best, dst), nil
 }
 

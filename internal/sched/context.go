@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/obs"
 )
@@ -41,21 +40,22 @@ var (
 	_ Shardable = Sharded{}
 )
 
-// ScheduleContext runs a on pr honoring ctx, on a fresh Scratch. The
-// context is checked before the solve starts and again when it ends,
-// so a caller never receives a schedule after its deadline; Exact and
-// DLS also abort mid-solve. When ctx carries a span (obs.ContextWithSpan)
+// ScheduleContext runs a on pr honoring ctx, on a one-shot Prepared
+// handle: it is NewPrepared(pr).ScheduleInto(ctx, a, nil). The context
+// is checked before the solve starts and again when it ends, so a
+// caller never receives a schedule after its deadline; Exact and DLS
+// also abort mid-solve. When ctx carries a span (obs.ContextWithSpan)
 // the solve records into it: the algorithm name, the instance size and
 // schedule size, the sparse field's stored pairs, and the algorithm's
 // phases and counters.
 func ScheduleContext(ctx context.Context, a Algorithm, pr *Problem) (Schedule, error) {
-	return scheduleWith(ctx, a, pr, new(Scratch), nil)
+	return NewPrepared(pr).ScheduleInto(ctx, a, nil)
 }
 
-// scheduleWith is the one dispatcher behind ScheduleContext and
-// Prepared: built-in algorithms run their solve off scr, algorithms
-// from other packages fall back to ContextAlgorithm, then to
-// Algorithm.Schedule.
+// scheduleWith is the one dispatcher behind every solve, run on a
+// scratch of the handle that owns pr: built-in algorithms run their
+// solve off scr, algorithms from other packages fall back to
+// ContextAlgorithm, then to Algorithm.Schedule.
 func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return Schedule{}, err
@@ -88,11 +88,11 @@ func scheduleWith(ctx context.Context, a Algorithm, pr *Problem, scr *Scratch, d
 	return s, nil
 }
 
-// schedule is every built-in's Algorithm.Schedule: solve on a fresh
-// Scratch under a background context, which never cancels, so the only
-// failure left is a refusal (Exact over MaxN), which panics.
+// schedule is every built-in's Algorithm.Schedule: ScheduleContext
+// under a background context, which never cancels, so the only failure
+// left is a refusal (Exact over MaxN), which panics.
 func schedule(a solver, pr *Problem) Schedule {
-	s, err := a.solve(context.Background(), pr, new(Scratch), nil)
+	s, err := ScheduleContext(context.Background(), a, pr)
 	if err != nil {
 		panic("sched: " + a.Name() + " solve failed: " + err.Error())
 	}
@@ -100,11 +100,8 @@ func schedule(a solver, pr *Problem) Schedule {
 }
 
 // SolveContext looks up a registered algorithm by name and runs it
-// under ctx — the entry point long-running services use.
+// under ctx on a one-shot Prepared handle — the entry point
+// long-running services use.
 func SolveContext(ctx context.Context, name string, pr *Problem) (Schedule, error) {
-	a, ok := Lookup(name)
-	if !ok {
-		return Schedule{}, fmt.Errorf("sched: unknown algorithm %q (have %v)", name, Names())
-	}
-	return ScheduleContext(ctx, a, pr)
+	return NewPrepared(pr).SolveContext(ctx, name)
 }

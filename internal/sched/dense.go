@@ -123,16 +123,6 @@ func (f *DenseField) PowerOf(i int) float64 { return f.power[i] }
 // nothing.
 func (f *DenseField) TailBound(int) float64 { return 0 }
 
-// ForEachSignificant implements InterferenceField (a column scan; it
-// fills no rows).
-func (f *DenseField) ForEachSignificant(j int, fn func(i int, fij float64)) {
-	for i := 0; i < f.n; i++ {
-		if v := f.Factor(i, j); v > 0 {
-			fn(i, v)
-		}
-	}
-}
-
 // ForEachAffected implements InterferenceField (a row scan).
 func (f *DenseField) ForEachAffected(i int, fn func(j int, fij float64)) {
 	for j, v := range f.row(i) {

@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"cmp"
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +47,7 @@ func (e Exact) Schedule(pr *Problem) Schedule { return schedule(e, pr) }
 // carries no optimality certificate — and ctx.Err() is returned.
 // Phases "prep" (counting subtree tasks) and "search" (the search
 // counters).
-func (e Exact) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (Schedule, error) {
+func (e Exact) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	maxN := e.MaxN
 	if maxN == 0 {
 		maxN = DefaultExactMaxN
@@ -57,7 +55,7 @@ func (e Exact) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (S
 	if pr.N() > maxN {
 		panic("sched: Exact solver refused instance larger than MaxN; use the approximation algorithms")
 	}
-	best, err := exactSolve(ctx, pr, e.splitDepth(pr.N()), obs.SpanFrom(ctx))
+	best, err := exactSolve(ctx, pr, scr, e.splitDepth(pr.N()), obs.SpanFrom(ctx))
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -145,24 +143,17 @@ func (st *exactState) prunable(bound float64, task int) bool {
 	return !st.improves(bound, task)
 }
 
-func exactSolve(ctx context.Context, pr *Problem, splitDepth int, sp obs.Span) ([]int, error) {
+func exactSolve(ctx context.Context, pr *Problem, scr *Scratch, splitDepth int, sp obs.Span) ([]int, error) {
 	n := pr.N()
 	if n == 0 {
 		return nil, nil
 	}
 	prep := sp.Child("prep")
-	// Decision order: descending rate so the additive bound tightens
-	// fast; ties broken by shorter length (easier to keep feasible).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		if c := cmp.Compare(pr.Links.Rate(b), pr.Links.Rate(a)); c != 0 {
-			return c
-		}
-		return cmp.Compare(pr.Links.Length(a), pr.Links.Length(b))
-	})
+	// Decision order: Greedy's pick order — descending rate so the
+	// additive bound tightens fast, ties broken by shorter length
+	// (easier to keep feasible), then by index. The handle's shared
+	// copy; the search only reads it.
+	order := scr.pickOrder(pr, greedyPick)
 	// suffixRate[d] = Σ rates of decisions d..n−1 (the optimistic bound).
 	suffixRate := make([]float64, n+1)
 	for d := n - 1; d >= 0; d-- {
@@ -174,8 +165,10 @@ func exactSolve(ctx context.Context, pr *Problem, splitDepth int, sp obs.Span) (
 	// costs nothing when ctx can never be canceled.
 	unregister := context.AfterFunc(ctx, func() { st.stop.Store(true) })
 	defer unregister()
-	// Seed the incumbent with Greedy so pruning bites immediately.
-	seed := (Greedy{}).Schedule(pr)
+	// Seed the incumbent with Greedy so pruning bites immediately. The
+	// seed runs on this solve's scratch and records no spans, so the
+	// phases stay prep and search.
+	seed := Greedy{}.scheduleRestricted(pr, scr, Selection{}, obs.Span{}, nil)
 	st.offer(seed.Throughput(pr), seed.Active, -1)
 
 	// Enumerate the 2^splitDepth assignments of the first splitDepth

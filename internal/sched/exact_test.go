@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/radio"
 )
@@ -114,6 +117,65 @@ func TestExactDeterministicUnderTies(t *testing.T) {
 				t.Fatalf("seed %d run %d: exact returned %v, first run %v", seed, run, got, want)
 			}
 		}
+	}
+}
+
+// exactFormerOrder is the decision order Exact used to sort for
+// itself: a stable sort by descending rate, ties by ascending length.
+func exactFormerOrder(pr *Problem) []int {
+	order := make([]int, pr.N())
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(pr.Links.Rate(b), pr.Links.Rate(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(pr.Links.Length(a), pr.Links.Length(b))
+	})
+	return order
+}
+
+// TestExactOrderIsGreedyPickOrder: Exact decides in Greedy's cached
+// pick order, which must be exactly the order it used to sort itself,
+// so its search, tie-breaks and counters are unchanged. Checked where
+// ties decide: a 5×5 grid with every rate and length tied, paper sets
+// with integer rates 1–3, and those sets with every third link's
+// length forced equal.
+func TestExactOrderIsGreedyPickOrder(t *testing.T) {
+	check := func(t *testing.T, name string, links []network.Link) {
+		t.Helper()
+		pr := MustNewProblem(network.MustNewLinkSet(links), radio.DefaultParams())
+		want := exactFormerOrder(pr)
+		if got := handleScratch(t, pr).pickOrder(pr, greedyPick); !slices.Equal(got, want) {
+			t.Fatalf("%s: greedy pick order %v\nformer Exact order %v", name, got, want)
+		}
+	}
+	var grid []network.Link
+	for x := 0; x < 5; x++ {
+		for y := 0; y < 5; y++ {
+			s := geom.Point{X: float64(100 * x), Y: float64(100 * y)}
+			grid = append(grid, network.Link{Sender: s, Receiver: geom.Point{X: s.X + 10, Y: s.Y}, Rate: 1})
+		}
+	}
+	check(t, "grid", grid)
+	for seed := uint64(1); seed <= 4; seed++ {
+		ls, err := network.Generate(network.PaperConfig(60), seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := ls.Links()
+		for i := range links {
+			links[i].Rate = float64(1 + (i*7+int(seed))%3)
+		}
+		check(t, fmt.Sprintf("seed %d", seed), links)
+		for i := 0; i < len(links); i += 3 {
+			// Whole-unit senders keep the 10-unit offset exact, so these
+			// lengths tie bit for bit.
+			s := geom.Point{X: math.Round(links[i].Sender.X), Y: math.Round(links[i].Sender.Y)}
+			links[i].Sender, links[i].Receiver = s, geom.Point{X: s.X + 10, Y: s.Y}
+		}
+		check(t, fmt.Sprintf("seed %d, equal lengths", seed), links)
 	}
 }
 

@@ -283,7 +283,7 @@ func TestRepairBeatsBaselineUnderFading(t *testing.T) {
 
 func TestHeadroomPaperModelIdentity(t *testing.T) {
 	pr := paperProblem(t, 50, 1)
-	budget, spread, usable := pr.headroom()
+	budget, spread, usable := pr.headroomIn(make([]bool, pr.N()))
 	if budget != pr.GammaEps() || spread != 1 {
 		t.Errorf("paper-model headroom = (%v, %v), want (γ_ε, 1)", budget, spread)
 	}

@@ -46,15 +46,11 @@ type InterferenceField interface {
 	// with Factor(i,j) == 0 and i ≠ j, the true factor is at most
 	// TailBound(j)·PowerOf(i). Exact backends return 0.
 	TailBound(j int) float64
-	// ForEachSignificant calls fn for every stored sender i with a
-	// positive factor on receiver j, in ascending sender order.
-	ForEachSignificant(j int, fn func(i int, f float64))
 	// ForEachAffected calls fn for every stored receiver j that sender
 	// i has a positive factor on, in a deterministic backend-specific
 	// order (dense walks receivers ascending; sparse walks its grid
-	// rank order). It is the transpose of ForEachSignificant and drives
-	// the incremental feasibility accumulators, whose per-receiver sums
-	// are order-independent.
+	// rank order). It drives the incremental feasibility accumulators,
+	// whose per-receiver sums are order-independent.
 	ForEachAffected(i int, fn func(j int, f float64))
 	// Bytes reports the memory the field holds resident right now.
 	Bytes() int64

@@ -248,7 +248,7 @@ func TestHeadroomAllLinksUnusable(t *testing.T) {
 	p.N0 = 1 // noise factor N0·d^α ≥ 125 ≫ γ_ε/2 for every link
 	pr := MustNewProblem(ls, p)
 
-	budget, spread, usable := pr.headroom()
+	budget, spread, usable := pr.headroomIn(make([]bool, pr.N()))
 	if budget != pr.GammaEps() || spread != 1 {
 		t.Errorf("headroom all-unusable: budget %v spread %v, want %v and 1", budget, spread, pr.GammaEps())
 	}
@@ -257,7 +257,7 @@ func TestHeadroomAllLinksUnusable(t *testing.T) {
 			t.Fatalf("link %d marked usable with noise %v", j, pr.NoiseTerm(j))
 		}
 	}
-	dBudget, dSpread, dUsable := pr.detHeadroom()
+	dBudget, dSpread, dUsable := pr.detHeadroomIn(make([]bool, pr.N()))
 	if dBudget != 1 || dSpread != 1 {
 		t.Errorf("detHeadroom all-unusable: budget %v spread %v, want 1 and 1", dBudget, dSpread)
 	}

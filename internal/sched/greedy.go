@@ -108,8 +108,8 @@ func (g Greedy) scheduleRestricted(pr *Problem, scr *Scratch, sel Selection, sp 
 // weights, descending weight, ties by descending rate, then by index.
 // The zero Selection's order depends on the link set alone, so a
 // Prepared keeps it per geometry generation (preparedShared) and its
-// solves share it read-only; a mask or weights, or a standalone
-// scratch, sorts per call into scr's sorter.
+// solves share it read-only; a mask or weights sorts per call into
+// scr's sorter.
 func greedyOrder(pr *Problem, scr *Scratch, sel Selection) []int {
 	if sel.Mask == nil && sel.Weights == nil {
 		return scr.pickOrder(pr, greedyPick)

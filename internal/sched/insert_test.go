@@ -10,6 +10,17 @@ import (
 	"repro/internal/radio"
 )
 
+// handleScratch checks a scratch out of a one-shot Prepared on pr, as
+// every solve's scratch is, and returns it to the pool when the test
+// ends.
+func handleScratch(t testing.TB, pr *Problem) *Scratch {
+	t.Helper()
+	pp := NewPrepared(pr)
+	scr := pp.getScratch()
+	t.Cleanup(func() { pp.putScratch(scr) })
+	return scr
+}
+
 // tailBoundedField is a named problem whose field carries a tail bound,
 // so greedyInsert takes its pruned path on it.
 type tailBoundedField struct {
@@ -179,8 +190,8 @@ func TestGreedyInsertMatchesPlainLoop(t *testing.T) {
 				sel  Selection
 			}{{"greedy", Selection{}}, {"mask", Selection{Mask: mask}}, {"weights", Selection{Weights: weights}}} {
 				pr := f.build()
-				var scr Scratch
-				order := slices.Clone(greedyOrder(pr, &scr, sel.sel))
+				scr := handleScratch(t, pr)
+				order := slices.Clone(greedyOrder(pr, scr, sel.sel))
 				ref := NewAccum(pr)
 				want, wantRejected := plainInsert(pr.Params, ref, order, ref.gammaEps)
 				if len(want) == 0 {
@@ -201,7 +212,7 @@ func TestGreedyInsertMatchesPlainLoop(t *testing.T) {
 						if acc.hasTail != f.pruned {
 							t.Fatalf("%s: field carries a tail bound: %v, want %v", sel.name, acc.hasTail, f.pruned)
 						}
-						got, gotRejected, _ = greedyInsert(pr, &scr, acc, order)
+						got, gotRejected, _ = greedyInsert(pr, scr, acc, order)
 					}
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s/%s admitted %v\nplain loop admitted %v", sel.name, path, got, want)
@@ -221,10 +232,10 @@ func TestGreedyInsertMatchesPlainLoop(t *testing.T) {
 // greedy-sharded worker does, against plainInsert on its own.
 func assertTilePassMatchesPlainLoop(t *testing.T, pr *Problem) {
 	t.Helper()
-	var scr Scratch
-	order := slices.Clone(greedyOrder(pr, &scr, Selection{}))
+	scr := handleScratch(t, pr)
+	order := slices.Clone(greedyOrder(pr, scr, Selection{}))
 	var sb shardBufs
-	tiles := sb.partition(pr, &scr, 4, order)
+	tiles := sb.partition(pr, scr, 4, order)
 	if tiles < 2 {
 		t.Fatalf("partition made %d tiles", tiles)
 	}

@@ -37,18 +37,18 @@ func (a LDP) Schedule(pr *Problem) Schedule { return schedule(a, pr) }
 // headroom) and "partition" (grid tiling and candidate selection), the
 // latter counting length classes, grid cells bucketed, and candidate
 // schedules compared.
-func (a LDP) solve(ctx context.Context, pr *Problem, _ *Scratch, dst []int) (Schedule, error) {
+func (a LDP) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int) (Schedule, error) {
 	sp := obs.SpanFrom(ctx)
 	ph := sp.Child("classes")
 	classes := pr.Links.LengthClasses()
 	if a.Banded {
 		classes = pr.Links.BandedLengthClasses()
 	}
-	budget, spread, usable := pr.headroom()
+	budget, spread, usable := pr.headroomIn(boolsIn(&scr.usable, pr.N()))
 	classes = filterClasses(classes, usable)
 	beta := ldpBetaFor(pr.Params, budget, spread)
 	ph.End()
-	best := gridPartitionBest(pr, classes, beta, sp)
+	best := gridPartitionBest(pr, scr.receiversOf(pr), classes, beta, sp)
 	return finishSchedule(a.Name(), best, dst), nil
 }
 
@@ -69,18 +69,17 @@ func filterClasses(classes []network.LengthClass, usable []bool) []network.Lengt
 }
 
 // gridPartitionBest runs the shared diversity-partition scheduling core
-// for a given class decomposition and grid constant, returning the
-// candidate with the highest total rate. It is shared verbatim between
-// LDP (fading β) and ApproxLogN (deterministic β): the paper's
-// comparison isolates exactly this one constant. The partition phase
-// and its cell/candidate counters record under sp.
-func gridPartitionBest(pr *Problem, classes []network.LengthClass, beta float64, sp obs.Span) []int {
+// for a given class decomposition and grid constant over pr's receiver
+// positions, returning the candidate with the highest total rate. It is
+// shared verbatim between LDP (fading β) and ApproxLogN (deterministic
+// β): the paper's comparison isolates exactly this one constant. The
+// partition phase and its cell/candidate counters record under sp.
+func gridPartitionBest(pr *Problem, receivers []geom.Point, classes []network.LengthClass, beta float64, sp obs.Span) []int {
 	if pr.N() == 0 {
 		return nil
 	}
 	ph := sp.Child("partition")
 	defer ph.End()
-	receivers := pr.Links.Receivers()
 	region := geom.BoundingBox(receivers)
 	var (
 		best       []int

@@ -109,9 +109,9 @@ func (pp *Prepared) Schedule(a Algorithm) Schedule {
 }
 
 // ScheduleContext runs a on the prepared problem under ctx with pooled
-// scratch, with the same dispatch, span recording, and cancellation
-// semantics as the package-level ScheduleContext. The returned schedule owns a
-// freshly allocated active set; use ScheduleInto to recycle one.
+// scratch; the package-level ScheduleContext is this on a one-shot
+// handle. The returned schedule owns a freshly allocated active set;
+// use ScheduleInto to recycle one.
 func (pp *Prepared) ScheduleContext(ctx context.Context, a Algorithm) (Schedule, error) {
 	return pp.ScheduleInto(ctx, a, nil)
 }
@@ -152,7 +152,7 @@ func (pp *Prepared) ScheduleWeightedInto(ctx context.Context, sel Selection, dst
 }
 
 // SolveContext runs a registered algorithm by name on the prepared
-// problem — the Prepared counterpart of the package-level SolveContext.
+// problem; the package-level SolveContext is this on a one-shot handle.
 func (pp *Prepared) SolveContext(ctx context.Context, name string) (Schedule, error) {
 	a, ok := Lookup(name)
 	if !ok {

@@ -169,17 +169,18 @@ func TestPreparedConcurrent(t *testing.T) {
 
 // TestPreparedDeriveConcurrentOrders races Derive'd siblings at four ε
 // values, sharing one cold handle's caches, to build and read the pick
-// orders no ε changes (greedy's, the elimination core's): 16 goroutines
-// solve every sibling with Greedy, RLE, ApproxDiversity and
-// greedy-sharded, and each schedule must equal a standalone solve of a
-// fresh problem at that ε. -race runs it in scripts/check.sh.
+// orders no ε changes (greedy's, the elimination core's) and the
+// receiver positions: 16 goroutines solve every sibling with Greedy,
+// RLE, ApproxDiversity, greedy-sharded, LDP and ApproxLogN, and each
+// schedule must equal a one-shot handle's solve of a fresh problem at
+// that ε. -race runs it in scripts/check.sh.
 func TestPreparedDeriveConcurrentOrders(t *testing.T) {
 	ls := preparedTestInstance(t, 150, 3)
 	base, err := Prepare(ls, radio.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	algorithms := []Algorithm{Greedy{}, RLE{}, ApproxDiversity{}, Sharded{Shards: 4}}
+	algorithms := []Algorithm{Greedy{}, RLE{}, ApproxDiversity{}, Sharded{Shards: 4}, LDP{}, ApproxLogN{}}
 	var siblings []*Prepared
 	var want [][]Schedule
 	for _, eps := range []float64{0.005, 0.01, 0.02, 0.05} {
@@ -210,7 +211,7 @@ func TestPreparedDeriveConcurrentOrders(t *testing.T) {
 				s, a := k/len(algorithms), k%len(algorithms)
 				got := siblings[s].Schedule(algorithms[a])
 				if !got.Equal(want[s][a]) {
-					errc <- fmt.Errorf("sibling %d %s: concurrent solve %v, standalone %v",
+					errc <- fmt.Errorf("sibling %d %s: concurrent solve %v, one-shot %v",
 						s, algorithms[a].Name(), got.Active, want[s][a].Active)
 					return
 				}
@@ -281,8 +282,8 @@ func TestPreparedRebindReordersPicks(t *testing.T) {
 				kind pickKind
 			}{{"greedy", greedyPick}, {"elimination", eliminationPick}} {
 				var scr Scratch
-				was := slices.Index(scr.pickOrder(before, o.kind), k)
-				want := slices.Clone(scr.pickOrder(fresh, o.kind))
+				was := slices.Index(pickSorts[o.kind](before, &scr), k)
+				want := slices.Clone(pickSorts[o.kind](fresh, &scr))
 				if now := slices.Index(want, k); was != 0 || now != len(want)-1 {
 					t.Fatalf("%s order: link %d moved from rank %d to %d, want 0 to %d", o.name, k, was, now, len(want)-1)
 				}

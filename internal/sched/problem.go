@@ -144,7 +144,7 @@ func (pr *Problem) Rebind(ls *network.LinkSet, moved []int) error {
 	return nil
 }
 
-// headroom computes the shared machinery the approximation algorithms
+// headroomIn computes the shared machinery the approximation algorithms
 // use to stay correct under the noise and heterogeneous-power
 // extensions while reducing exactly to the paper on its own model:
 //
@@ -158,13 +158,9 @@ func (pr *Problem) Rebind(ls *network.LinkSet, moved []int) error {
 //     ring-summation bounds hold with heterogeneous interferer powers.
 //
 // With N0 = 0 and uniform power this is (γ_ε, 1, all-true) and every
-// algorithm behaves byte-identically to the paper's pseudocode.
-func (pr *Problem) headroom() (budget, spread float64, usable []bool) {
-	return pr.headroomIn(make([]bool, pr.n))
-}
-
-// headroomIn is headroom writing the usable mask into a caller-owned
-// buffer (len pr.n, all false) — the scratch-pooled form.
+// algorithm behaves byte-identically to the paper's pseudocode. The
+// usable mask is written into a caller-owned buffer (len pr.n, all
+// false), the solve's Scratch.usable.
 func (pr *Problem) headroomIn(usable []bool) (budget, spread float64, _ []bool) {
 	ge := pr.GammaEps()
 	var worstNoise float64
@@ -195,15 +191,10 @@ func (pr *Problem) headroomIn(usable []bool) (budget, spread float64, _ []bool) 
 	return budget, spread, usable
 }
 
-// detHeadroom is headroom for the deterministic (non-fading) model the
-// baselines budget against: unit interference budget, noise term
+// detHeadroomIn is headroomIn for the deterministic (non-fading) model
+// the baselines budget against: unit interference budget, noise term
 // γ_th·N0/(P_j·d_jj^{−α}). Reduces to (1, 1, all-true) on the paper's
 // model.
-func (pr *Problem) detHeadroom() (budget, spread float64, usable []bool) {
-	return pr.detHeadroomIn(make([]bool, pr.n))
-}
-
-// detHeadroomIn is detHeadroom writing into a caller-owned mask.
 func (pr *Problem) detHeadroomIn(usable []bool) (budget, spread float64, _ []bool) {
 	var worstNoise float64
 	minP, maxP := math.Inf(1), 0.0
@@ -221,7 +212,7 @@ func (pr *Problem) detHeadroomIn(usable []bool) (budget, spread float64, _ []boo
 	}
 	if !any {
 		// All links noise-drowned under the deterministic model too;
-		// same degenerate-extrema guard as headroom.
+		// same degenerate-extrema guard as headroomIn.
 		return 1, 1, usable
 	}
 	budget = 1 - worstNoise

@@ -103,10 +103,10 @@ func eliminationSchedule(pr *Problem, cfg eliminationConfig, sp obs.Span, scr *S
 	// Rule-1 queries go through a grid index over the senders instead of
 	// an O(n) scan per pick; elimination radii scale with the picked
 	// link's length, so the cell side comes from the median length.
-	// Through a Prepared handle both the senders slice and the index are
-	// shared immutable caches; standalone scratches build them per call.
+	// Both the senders slice and the index are the handle's shared
+	// immutable caches.
 	senders := scr.sendersOf(pr)
-	idx := scr.rule1Index(pr, senders, rule1IndexSide(pr, cfg.c1, scr))
+	idx := scr.rule1Index(pr, rule1IndexSide(pr, cfg.c1, scr))
 	active := scr.activeBuf(n)
 	var rule1, rule2 int64
 

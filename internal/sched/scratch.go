@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/mathx"
 )
 
 // Scratch is the reusable per-solve workspace behind Prepared's
@@ -13,28 +12,23 @@ import (
 // set, feasibility accumulators, DLS round state — lives here and is
 // resized (never reallocated once warm) at the start of each solve.
 //
-// A Scratch belongs to exactly one solve at a time; Prepared hands
-// them out from a sync.Pool so concurrent solves on the same handle
-// never share one. The zero value is valid: every getter allocates on
-// first use, which is how Algorithm.Schedule and the package-level
-// ScheduleContext run (on a fresh Scratch per solve).
+// A Scratch belongs to exactly one solve at a time and to the
+// Prepared handle that checked it out of its sync.Pool, so concurrent
+// solves on the same handle never share one. Algorithm.Schedule and
+// the package-level ScheduleContext run on a one-shot handle.
 type Scratch struct {
-	// pp points at the owning Prepared's shared immutable caches
-	// (sender index, median length, pick orders); nil for standalone
-	// scratches, which recompute per call exactly as the pre-Prepared
-	// code did.
+	// pp is the owning Prepared, whose shared immutable caches (sender
+	// and receiver positions, rule-1 indexes, median length, pick
+	// orders) the getters below read.
 	pp *Prepared
 
-	sorter  pickSorter
-	active  []int
-	alive   []bool
-	usable  []bool
-	lens    []float64
-	senders []geom.Point
-	recvs   []geom.Point
-	acc     Accum
-	acc2    Accum
-	det     detAccum
+	sorter pickSorter
+	active []int
+	alive  []bool
+	usable []bool
+	acc    Accum
+	acc2   Accum
+	det    detAccum
 
 	// The tile-sharded solver's partition/merge workspace (shard.go),
 	// lazily allocated, and prunedInsert's active-membership marks.
@@ -184,47 +178,18 @@ func (s *Scratch) detAccumFor(pr *Problem) *detAccum {
 }
 
 // sendersOf returns the sender positions of pr's links, from the
-// shared Prepared cache when available.
-func (s *Scratch) sendersOf(pr *Problem) []geom.Point {
-	if s.pp != nil {
-		return s.pp.shared.sendersFor(pr)
-	}
-	n := pr.N()
-	s.senders = s.senders[:0]
-	if cap(s.senders) < n {
-		s.senders = make([]geom.Point, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		s.senders = append(s.senders, pr.Links.Link(i).Sender)
-	}
-	return s.senders
-}
+// owning Prepared's shared cache.
+func (s *Scratch) sendersOf(pr *Problem) []geom.Point { return s.pp.shared.sendersFor(pr) }
 
 // receiversOf returns the receiver positions of pr's links, from the
-// shared Prepared cache when available.
-func (s *Scratch) receiversOf(pr *Problem) []geom.Point {
-	if s.pp != nil {
-		return s.pp.shared.receiversFor(pr)
-	}
-	n := pr.N()
-	s.recvs = s.recvs[:0]
-	if cap(s.recvs) < n {
-		s.recvs = make([]geom.Point, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		s.recvs = append(s.recvs, pr.Links.Link(i).Receiver)
-	}
-	return s.recvs
-}
+// owning Prepared's shared cache.
+func (s *Scratch) receiversOf(pr *Problem) []geom.Point { return s.pp.shared.receiversFor(pr) }
 
-// rule1Index returns a spatial index over senders with the given cell
-// side, cached per side on the Prepared when available (the index is
+// rule1Index returns a spatial index over pr's senders with the given
+// cell side, cached per side on the owning Prepared (the index is
 // immutable and safely shared across concurrent solves).
-func (s *Scratch) rule1Index(pr *Problem, senders []geom.Point, side float64) *geom.Index {
-	if s.pp != nil {
-		return s.pp.shared.senderIndex(pr, side)
-	}
-	return geom.NewIndex(senders, side)
+func (s *Scratch) rule1Index(pr *Problem, side float64) *geom.Index {
+	return s.pp.shared.senderIndex(pr, side)
 }
 
 // pickKind names one of the pick orders that depend on the link set
@@ -250,28 +215,14 @@ var pickSorts = [numPickKinds]func(*Problem, *Scratch) []int{
 
 // pickOrder returns pr's pick order of the given kind: the owning
 // Prepared's shared copy, which the kind's sort fills on first use per
-// generation, or, for a standalone scratch, that sort into s. Callers
-// read it and never write it.
+// generation. Callers read it and never write it.
 func (s *Scratch) pickOrder(pr *Problem, kind pickKind) []int {
-	if s.pp != nil {
-		return s.pp.shared.pickOrder(pr, kind, s)
-	}
-	return pickSorts[kind](pr, s)
+	return s.pp.shared.pickOrder(pr, kind, s)
 }
 
 // medianLength returns the median link length, cached per geometry
-// generation on the Prepared when available.
-func (s *Scratch) medianLength(pr *Problem) float64 {
-	if s.pp != nil {
-		return s.pp.shared.medianLength(pr)
-	}
-	n := pr.N()
-	lens := floatsIn(&s.lens, n)
-	for i := 0; i < n; i++ {
-		lens[i] = pr.Links.Length(i)
-	}
-	return mathx.Median(lens)
-}
+// generation on the owning Prepared.
+func (s *Scratch) medianLength(pr *Problem) float64 { return s.pp.shared.medianLength(pr) }
 
 // finishSchedule copies the raw active set into dst[:0] sorted
 // ascending — the normalized Schedule form — leaving the scratch-owned

@@ -181,8 +181,8 @@ func (a Sharded) solve(ctx context.Context, pr *Problem, scr *Scratch, dst []int
 		go func() {
 			defer wg.Done()
 			wsp := sp.Child("tile_solve")
-			wscr, release := tileScratch(scr)
-			defer release()
+			wscr := scr.pp.getScratch()
+			defer scr.pp.putScratch(wscr)
 			// Tile solves see interference from their own members only:
 			// restrict rescopes the worker's accumulator per tile, and
 			// the greedy insertion runs against the reserved budget.
@@ -267,18 +267,6 @@ func (a Sharded) finishUnsharded(pr *Problem, scr *Scratch, order []int, sp obs.
 	ph.Add(obs.KeyFactorReads, int64(reads))
 	ph.End()
 	return finishSchedule(a.Name(), active, dst)
-}
-
-// tileScratch checks a worker-private Scratch out of the owning
-// Prepared's pool (a fresh one for a standalone scratch) and returns
-// it with its release.
-func tileScratch(scr *Scratch) (*Scratch, func()) {
-	if scr.pp != nil {
-		pp := scr.pp
-		ws := pp.getScratch()
-		return ws, func() { pp.putScratch(ws) }
-	}
-	return new(Scratch), func() {}
 }
 
 // shardBufs is the Scratch-resident workspace of the sharded solver:

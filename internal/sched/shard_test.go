@@ -13,9 +13,9 @@ import (
 // lives in shard_mc_test.go (package sched_test): internal/mc imports
 // this package, so the oracle must sit in the external test package.
 
-// TestShardedLegacyEntryPoints pins that the non-prepared path
-// (Schedule on a fresh scratch) produces the same schedule as the
-// prepared path.
+// TestShardedLegacyEntryPoints pins that Algorithm.Schedule (a
+// one-shot handle per call) produces the same schedule as a solve
+// through a kept Prepared.
 func TestShardedLegacyEntryPoints(t *testing.T) {
 	ls := genLinkSet(t, 300, 3, 500)
 	pr := MustNewProblem(ls, radio.DefaultParams())
@@ -186,9 +186,8 @@ func FuzzShardedFeasible(f *testing.F) {
 		if shards == 1 {
 			// The plain insert loop, not Greedy: both solvers run the
 			// pruned greedyInsert on this sparse field.
-			var scr Scratch
 			acc := NewAccum(pr)
-			g, _, _ := insert(pr.Params, acc, greedyOrder(pr, &scr, Selection{}), acc.gammaEps, nil)
+			g, _, _ := insert(pr.Params, acc, greedyOrder(pr, handleScratch(t, pr), Selection{}), acc.gammaEps, nil)
 			slices.Sort(g)
 			if !slices.Equal(s.Active, g) {
 				t.Fatalf("shards=1 not identical to the plain greedy loop:\n%v\n%v", s.Active, g)

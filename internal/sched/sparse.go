@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
@@ -52,9 +51,9 @@ const DefaultSparseCutoffFrac = 1e-4
 // test, factor computation, and CSR append in one loop, with the
 // radius-descending cell order turning the per-receiver radius test
 // into an early break. Factors are produced directly in sender-major
-// (column) order; the receiver-major rows are transposed lazily on
-// first ForEachSignificant. Workers fill disjoint sender ranges into
-// private arenas, so the result is bit-identical at any worker count.
+// (column) order, the only order the solvers walk. Workers fill
+// disjoint sender ranges into private arenas, so the result is
+// bit-identical at any worker count.
 type SparseField struct {
 	ls     *network.LinkSet
 	params radio.Params
@@ -79,14 +78,6 @@ type SparseField struct {
 	colF     []float64
 	// pairs counts stored (sender, receiver) pairs.
 	pairs int
-	// Receiver-major CSR (stored senders per receiver, ascending),
-	// built on demand: the solver hot paths only walk columns.
-	// rowsBuilt publishes its completion to Bytes.
-	rowsOnce  sync.Once
-	rowsBuilt atomic.Bool
-	rowStart  []int
-	rowIdx    []int32
-	rowF      []float64
 }
 
 func newSparseField(ctx context.Context, ls *network.LinkSet, p radio.Params, o SparseOptions) (*SparseField, error) {
@@ -336,35 +327,6 @@ func newSparseField(ctx context.Context, ls *network.LinkSet, p radio.Params, o 
 	return f, nil
 }
 
-// buildRows materializes the receiver-major transpose. Scattering in
-// ascending sender order leaves each receiver's senders ascending, so
-// no sort is needed.
-func (f *SparseField) buildRows() {
-	f.rowsOnce.Do(func() {
-		rowCount := make([]int32, f.n)
-		for _, r := range f.colIdx {
-			rowCount[f.ids[r]]++
-		}
-		f.rowStart = make([]int, f.n+1)
-		for j := 0; j < f.n; j++ {
-			f.rowStart[j+1] = f.rowStart[j] + int(rowCount[j])
-		}
-		f.rowIdx = make([]int32, f.pairs)
-		f.rowF = make([]float64, f.pairs)
-		cursor := make([]int, f.n)
-		copy(cursor, f.rowStart[:f.n])
-		for i := 0; i < f.n; i++ {
-			for k := f.colStart[i]; k < f.colStart[i+1]; k++ {
-				j := f.ids[f.colIdx[k]]
-				f.rowIdx[cursor[j]] = int32(i)
-				f.rowF[cursor[j]] = f.colF[k]
-				cursor[j]++
-			}
-		}
-		f.rowsBuilt.Store(true)
-	})
-}
-
 // N implements InterferenceField.
 func (f *SparseField) N() int { return f.n }
 
@@ -387,14 +349,6 @@ func (f *SparseField) PowerOf(i int) float64 { return f.power[i] }
 // TailBound implements InterferenceField.
 func (f *SparseField) TailBound(j int) float64 { return f.tailCap[j] }
 
-// ForEachSignificant implements InterferenceField.
-func (f *SparseField) ForEachSignificant(j int, fn func(i int, fij float64)) {
-	f.buildRows()
-	for k := f.rowStart[j]; k < f.rowStart[j+1]; k++ {
-		fn(int(f.rowIdx[k]), f.rowF[k])
-	}
-}
-
 // ForEachAffected implements InterferenceField: a walk of sender i's
 // column span, in receiver rank (grid) order.
 func (f *SparseField) ForEachAffected(i int, fn func(j int, fij float64)) {
@@ -404,15 +358,9 @@ func (f *SparseField) ForEachAffected(i int, fn func(j int, fij float64)) {
 }
 
 // Bytes implements InterferenceField: the sender-major CSR arrays and
-// the per-link power, noise, tail-cap and rank arrays, plus the
-// receiver-major transpose once something has built it.
+// the per-link power, noise, tail-cap and rank arrays.
 func (f *SparseField) Bytes() int64 {
-	csr := 12*int64(f.pairs) + 8*int64(f.n+1)
-	b := csr + 32*int64(f.n)
-	if f.rowsBuilt.Load() {
-		b += csr
-	}
-	return b
+	return 12*int64(f.pairs) + 8*int64(f.n+1) + 32*int64(f.n)
 }
 
 // StoredPairs returns how many (sender, receiver) factors are

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -128,14 +126,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.BatchObserved(len(subs))
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
 	defer cancel()
 
 	var builds atomic.Int64

@@ -59,7 +59,7 @@ func (e *prepEntry) run() {
 }
 
 // newPrepCache returns an LRU holding up to capacity prepared fields;
-// a non-positive capacity disables caching (every getOrBuild builds).
+// a non-positive capacity disables caching (every get builds).
 func newPrepCache(capacity int, m *Metrics) *prepCache {
 	return &prepCache{
 		cap:   capacity,
@@ -69,43 +69,59 @@ func newPrepCache(capacity int, m *Metrics) *prepCache {
 	}
 }
 
-// getOrBuild returns the prepared field for k, constructing it via
-// build on a miss. build runs outside the cache lock (field
-// construction is the expensive part) and its cost is attributed to
-// whichever request created the entry — callers that need per-request
-// build accounting count inside their closure.
-func (c *prepCache) getOrBuild(k cacheKey, build func() (*sched.Prepared, error)) (*sched.Prepared, error) {
+// get returns the prepared field for k, constructing it via build on a
+// miss. build runs outside the cache lock (field construction is the
+// expensive part) and its cost is attributed to whichever request
+// created the entry — callers that need per-request build accounting
+// count inside their closure.
+//
+// pin marks an entry that must stay resident: it is pinned, so it is
+// never LRU-evicted until a matching release. Streaming sessions hold
+// their interference field this way for their whole lifetime — the
+// field is mutated in place by session events (Rebind), so the entry is
+// keyed by a session-unique key and shared with nobody; residency in
+// the cache is what keeps the prepared-field capacity accounting and
+// size gauge truthful while request traffic churns the unpinned tiers
+// around it. A failed build is not cached: a pinned caller releases
+// its pin, an unpinned one purges the entry.
+func (c *prepCache) get(k cacheKey, pin bool, build func() (*sched.Prepared, error)) (*sched.Prepared, error) {
 	if c.cap <= 0 {
 		c.m.PreparedMiss()
 		c.m.PreparedBuild()
 		return build()
 	}
 	c.mu.Lock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*prepEntry)
-		c.mu.Unlock()
-		c.m.PreparedHit()
-		e.run() // waits if the original builder is still running
-		if e.err != nil {
-			// The builder failed after we hit its entry; purge (the
-			// builder's own error path may already have) and surface it.
-			c.remove(k, e)
-			return nil, e.err
-		}
-		return e.prep, nil
+	el, hit := c.items[k]
+	if !hit {
+		el = c.ll.PushFront(&prepEntry{key: k, build: build})
+		c.items[k] = el
 	}
-	e := &prepEntry{key: k, build: build}
-	c.items[k] = c.ll.PushFront(e)
-	c.evictLocked()
-	c.m.PreparedSize(c.ll.Len())
+	e := el.Value.(*prepEntry)
+	if pin {
+		// Session keys are unique, so a pinned hit means a caller pinned
+		// twice; pins are a refcount, so sharing is still safe.
+		e.pins++
+	}
+	if hit {
+		c.ll.MoveToFront(el)
+		c.m.PreparedHit()
+	} else {
+		c.evictLocked() // after the pin: a pinned entry is never the victim
+		c.m.PreparedSize(c.ll.Len())
+		c.m.PreparedMiss()
+		c.m.PreparedBuild()
+	}
 	c.mu.Unlock()
 
-	c.m.PreparedMiss()
-	c.m.PreparedBuild()
-	e.run()
+	e.run() // on a hit, waits if the original builder is still running
 	if e.err != nil {
-		c.remove(k, e)
+		// The build failed, ours or the one we hit; the builder's own
+		// error path may already have purged the entry.
+		if pin {
+			c.release(k)
+		} else {
+			c.remove(k, e)
+		}
 		return nil, e.err
 	}
 	return e.prep, nil
@@ -131,52 +147,6 @@ func (c *prepCache) evictLocked() {
 		delete(c.items, victim.Value.(*prepEntry).key)
 		c.m.PreparedEviction()
 	}
-}
-
-// acquire is getOrBuild for an entry that must stay resident: the
-// entry is created pinned, so it is never LRU-evicted until a matching
-// release. Streaming sessions hold their interference field this way
-// for their whole lifetime — the field is mutated in place by session
-// events (Rebind), so the entry is keyed by a session-unique key and
-// shared with nobody; residency in the cache is what keeps the
-// prepared-field capacity accounting and size gauge truthful while
-// request traffic churns the unpinned tiers around it.
-func (c *prepCache) acquire(k cacheKey, build func() (*sched.Prepared, error)) (*sched.Prepared, error) {
-	if c.cap <= 0 {
-		c.m.PreparedMiss()
-		c.m.PreparedBuild()
-		return build()
-	}
-	c.mu.Lock()
-	if el, ok := c.items[k]; ok {
-		// Session keys are unique, so a hit means a buggy caller
-		// acquired twice; pin anyway and share, which is still safe.
-		e := el.Value.(*prepEntry)
-		e.pins++
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		c.m.PreparedHit()
-		e.run()
-		if e.err != nil {
-			c.release(k)
-			return nil, e.err
-		}
-		return e.prep, nil
-	}
-	e := &prepEntry{key: k, build: build, pins: 1}
-	c.items[k] = c.ll.PushFront(e)
-	c.evictLocked()
-	c.m.PreparedSize(c.ll.Len())
-	c.mu.Unlock()
-
-	c.m.PreparedMiss()
-	c.m.PreparedBuild()
-	e.run()
-	if e.err != nil {
-		c.release(k)
-		return nil, e.err
-	}
-	return e.prep, nil
 }
 
 // release unpins k and drops the entry outright once no pins remain.

@@ -57,7 +57,7 @@ func TestPrepCacheSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (g + it) % keys
-				prep, err := c.getOrBuild(testKey(i), func() (*sched.Prepared, error) {
+				prep, err := c.get(testKey(i), false, func() (*sched.Prepared, error) {
 					builds[i].Add(1)
 					time.Sleep(time.Millisecond) // widen the race window
 					return shared, nil
@@ -67,7 +67,7 @@ func TestPrepCacheSingleFlight(t *testing.T) {
 					return
 				}
 				if prep != shared {
-					errc <- errors.New("getOrBuild returned a different prepared instance")
+					errc <- errors.New("get returned a different prepared instance")
 					return
 				}
 			}
@@ -112,7 +112,7 @@ func TestPrepCacheEvictionAccounting(t *testing.T) {
 
 	const inserts = 5
 	for i := 0; i < inserts; i++ {
-		if _, err := c.getOrBuild(testKey(i), build); err != nil {
+		if _, err := c.get(testKey(i), false, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestPrepCacheEvictionAccounting(t *testing.T) {
 	}
 
 	// Key 0 was evicted long ago: returning to it is a miss + rebuild.
-	if _, err := c.getOrBuild(testKey(0), build); err != nil {
+	if _, err := c.get(testKey(0), false, build); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != inserts+1 {
@@ -138,7 +138,7 @@ func TestPrepCacheEvictionAccounting(t *testing.T) {
 	}
 	// Key inserts-1 is still resident: a pure hit.
 	before := builds.Load()
-	if _, err := c.getOrBuild(testKey(inserts-1), build); err != nil {
+	if _, err := c.get(testKey(inserts-1), false, build); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != before {
@@ -162,13 +162,13 @@ func TestPrepCacheErrorsNotCached(t *testing.T) {
 		return shared, nil
 	}
 
-	if _, err := c.getOrBuild(testKey(9), build); !errors.Is(err, boom) {
+	if _, err := c.get(testKey(9), false, build); !errors.Is(err, boom) {
 		t.Fatalf("first build: err = %v, want %v", err, boom)
 	}
 	if c.len() != 0 {
 		t.Fatalf("failed build left %d entries resident", c.len())
 	}
-	prep, err := c.getOrBuild(testKey(9), build)
+	prep, err := c.get(testKey(9), false, build)
 	if err != nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestPrepCacheDisabled(t *testing.T) {
 		return shared, nil
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.getOrBuild(testKey(0), build); err != nil {
+		if _, err := c.get(testKey(0), false, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,10 +204,10 @@ func TestPrepCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestPrepCachePinnedSkipsEviction covers the acquire/release pin
-// protocol: a pinned entry survives arbitrary LRU pressure, unpinned
-// entries around it still rotate, and release drops the pinned entry
-// outright (session keys are never hit again).
+// TestPrepCachePinnedSkipsEviction covers the pin/release protocol:
+// a pinned entry survives arbitrary LRU pressure, unpinned entries
+// around it still rotate, and release drops the pinned entry outright
+// (session keys are never hit again).
 func TestPrepCachePinnedSkipsEviction(t *testing.T) {
 	m := NewMetrics()
 	c := newPrepCache(2, m)
@@ -215,12 +215,12 @@ func TestPrepCachePinnedSkipsEviction(t *testing.T) {
 	build := func() (*sched.Prepared, error) { return shared, nil }
 
 	pinnedKey := testKey(100)
-	if _, err := c.acquire(pinnedKey, build); err != nil {
+	if _, err := c.get(pinnedKey, true, build); err != nil {
 		t.Fatal(err)
 	}
 	// Push far more traffic than capacity through the unpinned tier.
 	for i := 0; i < 10; i++ {
-		if _, err := c.getOrBuild(testKey(i), build); err != nil {
+		if _, err := c.get(testKey(i), false, build); err != nil {
 			t.Fatal(err)
 		}
 		if !c.contains(pinnedKey) {
@@ -252,7 +252,7 @@ func TestPrepCacheAllPinnedExceedsCap(t *testing.T) {
 
 	const pins = 5
 	for i := 0; i < pins; i++ {
-		if _, err := c.acquire(testKey(200+i), build); err != nil {
+		if _, err := c.get(testKey(200+i), true, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,8 +270,9 @@ func TestPrepCacheAllPinnedExceedsCap(t *testing.T) {
 	}
 }
 
-// TestPrepCacheAcquireRefcounts checks double-acquire on one key needs
-// two releases before the entry drops (pins are a refcount, not a bit).
+// TestPrepCacheAcquireRefcounts checks that pinning one key twice
+// through get needs two releases before the entry drops (pins are a
+// refcount, not a bit).
 func TestPrepCacheAcquireRefcounts(t *testing.T) {
 	m := NewMetrics()
 	c := newPrepCache(4, m)
@@ -279,10 +280,10 @@ func TestPrepCacheAcquireRefcounts(t *testing.T) {
 	build := func() (*sched.Prepared, error) { return shared, nil }
 
 	k := testKey(300)
-	if _, err := c.acquire(k, build); err != nil {
+	if _, err := c.get(k, true, build); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.acquire(k, build); err != nil {
+	if _, err := c.get(k, true, build); err != nil {
 		t.Fatal(err)
 	}
 	c.release(k)
@@ -307,16 +308,16 @@ func TestPrepCacheReplaceSwapsHandle(t *testing.T) {
 	second := prepFor(t, 22, 9)
 
 	k := testKey(400)
-	if _, err := c.acquire(k, func() (*sched.Prepared, error) { return first, nil }); err != nil {
+	if _, err := c.get(k, true, func() (*sched.Prepared, error) { return first, nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.replace(k, second)
-	got, err := c.acquire(k, func() (*sched.Prepared, error) { return nil, errors.New("must not rebuild") })
+	got, err := c.get(k, true, func() (*sched.Prepared, error) { return nil, errors.New("must not rebuild") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != second {
-		t.Fatal("acquire after replace returned the stale handle")
+		t.Fatal("a pinned get after replace returned the stale handle")
 	}
 	c.replace(testKey(401), first) // unknown key: no-op, no panic
 	c.release(k)
@@ -330,13 +331,13 @@ func TestPrepCacheAcquireBuildFailure(t *testing.T) {
 	c := newPrepCache(4, m)
 	shared := prepFor(t, 20, 10)
 	boom := errors.New("bad links")
-	if _, err := c.acquire(testKey(500), func() (*sched.Prepared, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.get(testKey(500), true, func() (*sched.Prepared, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	if c.len() != 0 {
-		t.Fatalf("failed acquire left %d entries", c.len())
+		t.Fatalf("failed pinned build left %d entries", c.len())
 	}
-	if _, err := c.acquire(testKey(500), func() (*sched.Prepared, error) { return shared, nil }); err != nil {
+	if _, err := c.get(testKey(500), true, func() (*sched.Prepared, error) { return shared, nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.release(testKey(500))

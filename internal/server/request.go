@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -143,17 +144,24 @@ func (q *SolveRequest) fieldOption() (sched.Option, error) {
 	return sched.FieldOption(q.fieldName(), q.Cutoff)
 }
 
-// problem validates the links and builds the scheduling instance.
-func (q *SolveRequest) problem() (*sched.Problem, error) {
+// prepare is the one field build behind every route: it validates the
+// links, resolves the backend and builds the prepared field under ctx,
+// whose span records the construction. Each failure is the request's
+// fault, so each is a badRequestError.
+func (q *SolveRequest) prepare(ctx context.Context) (*sched.Prepared, error) {
 	ls, err := network.NewLinkSet(q.Links)
 	if err != nil {
-		return nil, fmt.Errorf("invalid links: %w", err)
+		return nil, &badRequestError{msg: "invalid links: " + err.Error()}
 	}
 	opt, err := q.fieldOption()
 	if err != nil {
-		return nil, err
+		return nil, &badRequestError{msg: err.Error()}
 	}
-	return sched.NewProblem(ls, q.params(), opt)
+	pp, err := sched.PrepareContext(ctx, ls, q.params(), opt)
+	if err != nil {
+		return nil, &badRequestError{msg: err.Error()}
+	}
+	return pp, nil
 }
 
 // hash is the canonical problem key: a SHA-256 over every input that

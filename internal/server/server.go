@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/mc"
-	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -378,14 +377,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.CacheMiss()
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
 	defer cancel()
 
 	// Queueing counts against the request's own deadline: a saturated
@@ -410,6 +402,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	w.Write(encoded)
 }
 
+// deadline bounds a request's work under ctx: timeoutMS milliseconds,
+// or the server default when it is 0, and never more than MaxTimeout.
+func (s *Server) deadline(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return context.WithTimeout(ctx, min(timeout, s.cfg.MaxTimeout))
+}
+
 // prepared resolves the request's scheduling instance through the
 // prepared-field cache: the expensive interference field is fetched (or
 // built, single-flight) under the field key, then Derive layers the
@@ -422,24 +424,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) prepared(ctx context.Context, q *SolveRequest, builds *atomic.Int64) (*sched.Prepared, error) {
 	sp := obs.SpanFrom(ctx)
 	hit := true
-	prep, err := s.preps.getOrBuild(q.fieldKey(), func() (*sched.Prepared, error) {
+	prep, err := s.preps.get(q.fieldKey(), false, func() (*sched.Prepared, error) {
 		hit = false
 		if builds != nil {
 			builds.Add(1)
 		}
-		ls, err := network.NewLinkSet(q.Links)
-		if err != nil {
-			return nil, &badRequestError{msg: "invalid links: " + err.Error()}
-		}
-		opt, err := q.fieldOption()
-		if err != nil {
-			return nil, &badRequestError{msg: err.Error()}
-		}
-		pp, err := sched.PrepareContext(ctx, ls, q.params(), opt)
-		if err != nil {
-			return nil, &badRequestError{msg: err.Error()}
-		}
-		return pp, nil
+		return q.prepare(ctx)
 	})
 	if sp.Enabled() {
 		sp.SetStr("prepared_cache", cacheAttr(hit))

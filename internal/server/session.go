@@ -391,20 +391,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	root := obs.SpanFrom(r.Context())
 	prepSp := root.Child("prepare")
 	prepCtx := obs.ContextWithSpan(r.Context(), prepSp)
-	prep, err := s.preps.acquire(key, func() (*sched.Prepared, error) {
-		ls, err := network.NewLinkSet(req.Links)
-		if err != nil {
-			return nil, &badRequestError{msg: "invalid links: " + err.Error()}
-		}
-		opt, err := sv.fieldOption()
-		if err != nil {
-			return nil, &badRequestError{msg: err.Error()}
-		}
-		pp, err := sched.PrepareContext(prepCtx, ls, sv.params(), opt)
-		if err != nil {
-			return nil, &badRequestError{msg: err.Error()}
-		}
-		return pp, nil
+	prep, err := s.preps.get(key, true, func() (*sched.Prepared, error) {
+		return sv.prepare(prepCtx)
 	})
 	prepSp.End()
 	if err != nil {
@@ -423,7 +411,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown algorithm %q", req.Algorithm))
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
+	ctx, cancel := s.deadline(r.Context(), 0)
 	defer cancel()
 	poolSp := root.Child("pool_wait")
 	err = s.pool.acquire(ctx)
@@ -518,7 +506,7 @@ func (s *Server) applySessionEvent(ctx context.Context, sess *session, ev *netwo
 			fmt.Sprintf("instance at the %d-link limit", s.cfg.MaxLinks)), applyRejected
 	}
 
-	ectx, cancel := context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+	ectx, cancel := s.deadline(ctx, 0)
 	defer cancel()
 	poolSp := esp.Child("pool_wait")
 	err := s.pool.acquire(ectx)

@@ -763,6 +763,27 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestSessionDeadlineClampedToMaxTimeout: a session solve takes the
+// server default deadline clamped to MaxTimeout, as /v1/solve's does,
+// so a default above the maximum cannot stretch a session create past
+// it. test-slow ends only when its context does: the create must
+// answer 504 once the 100 ms maximum is spent, not after the hour.
+func TestSessionDeadlineClampedToMaxTimeout(t *testing.T) {
+	_, ts := newSessionServer(t, Config{DefaultTimeout: time.Hour, MaxTimeout: 100 * time.Millisecond})
+	client := &http.Client{Transport: ts.Client().Transport, Timeout: 5 * time.Second}
+	body, err := json.Marshal(SessionRequest{Algorithm: "test-slow", Links: paperLinks(t, 3, 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(ts.URL+"/v1/session", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("session create did not answer within %v: %v", client.Timeout, err)
+	}
+	if got := readAll(t, resp.Body); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, got)
+	}
+}
+
 // TestSessionMaxSessions pins the capacity bound: creates beyond
 // MaxSessions get 429 until a session is deleted.
 func TestSessionMaxSessions(t *testing.T) {

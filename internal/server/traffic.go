@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -229,14 +228,7 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.CacheMiss()
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
 	defer cancel()
 
 	root := obs.SpanFrom(r.Context())

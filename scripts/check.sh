@@ -60,7 +60,8 @@ go test -run 'TestPreparedSolveZeroAllocs|TestPreparedConcurrent' -count=1 ./int
 echo "== session stream gate"
 # The streaming-session layer uncached under -race: the per-event
 # differential oracle, the byte-exact resume/replay contract, TTL and
-# drain lifecycle, and the pinned-Prepared cache-pressure regression.
+# drain lifecycle, the session deadline clamped to MaxTimeout, and the
+# pinned-Prepared cache-pressure regression.
 # The fuzz pass then walks the same full HTTP event path for a few
 # seconds with the seeded differential corpus.
 go test -race -run 'TestSession|TestPrepCache' -count=1 ./internal/server/
@@ -179,11 +180,13 @@ echo "== pick-order cache gate"
 # Under -race, uncached: the greedy and elimination pick orders a
 # Prepared keeps per geometry generation. Derive'd siblings at four ε
 # build and read them concurrently from a cold handle (every schedule
-# equal to a standalone solve), and a Rebind that moves a link from
-# first to last in both orders leaves every Prepared solve, and the
-# cached orders, equal to a fresh build's (in sched, and in the
-# mobility tracking loop).
-go test -race -run 'TestPreparedDeriveConcurrentOrders|TestPreparedRebindReordersPicks' -count=1 ./internal/sched/
+# equal to a one-shot handle's solve), and a Rebind that moves a link
+# from first to last in both orders leaves every Prepared solve, and
+# the cached orders, equal to a fresh build's (in sched, and in the
+# mobility tracking loop). Exact decides in the cached greedy order,
+# which must equal the stable rate-then-length sort it used to keep
+# (all-tied grid, integer rates, forced equal lengths).
+go test -race -run 'TestPreparedDeriveConcurrentOrders|TestPreparedRebindReordersPicks|TestExactOrderIsGreedyPickOrder' -count=1 ./internal/sched/
 go test -race -run 'TestTrackerPreparedMatchesFresh' -count=1 ./internal/mobility/
 
 echo "== sharded solver gate"
